@@ -240,12 +240,14 @@ class PointerListEntry(DirectoryEntry):
         handled in pointer mode, or ``None`` when the list is full and the
         subclass must handle overflow.
         """
-        check_node(node, self.scheme.num_nodes)
-        if node in self.pointers:
+        num_nodes = self.scheme.num_nodes
+        if not 0 <= node < num_nodes:
+            check_node(node, num_nodes)  # raises the range error
+        pointers = self.pointers
+        if node in pointers:
             return ()
-        limit = self._pointer_limit()
-        if len(self.pointers) < limit:
-            self.pointers.append(node)
+        if len(pointers) < self._pointer_limit():
+            pointers.append(node)
             return ()
         return None
 
@@ -260,8 +262,11 @@ class PointerListEntry(DirectoryEntry):
 
     def _pointers_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
         """Pointer-mode fast path for :meth:`targets_sorted`."""
+        pointers = self.pointers
+        if not pointers:  # the common write miss: no sharers to invalidate
+            return []
         excluded = set(exclude)
-        return sorted(p for p in self.pointers if p not in excluded)
+        return sorted(p for p in pointers if p not in excluded)
 
 
 def nodes_in_regions(region_mask: int, region_size: int, num_nodes: int) -> FrozenSet[int]:

@@ -46,8 +46,10 @@ class CoarseVectorEntry(PointerListEntry):
 
     def record_sharer(self, node: int) -> Tuple[int, ...]:
         if self.coarse:
-            check_node(node, self.scheme.num_nodes)
-            self.region_mask |= 1 << self._region_of(node)
+            scheme = self.scheme
+            if not 0 <= node < scheme.num_nodes:
+                check_node(node, scheme.num_nodes)  # raises the range error
+            self.region_mask |= 1 << (node // scheme.region_size)
             return ()
         handled = self._record_pointer(node)
         if handled is not None:

@@ -19,7 +19,7 @@ how the suggestion is usually read and the cheapest-hardware variant.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.base import DirectoryEntry, DirectoryScheme
 from repro.core.sparse import DirectoryStore, DirLine, Eviction
@@ -70,7 +70,7 @@ class SharedEntryDirectory(DirectoryStore):
         return self._lines.get(block)
 
     def get_or_allocate(
-        self, block: int, avoid: frozenset = frozenset()
+        self, block: int, avoid: AbstractSet[int] = frozenset()
     ) -> Tuple[DirLine, List[Eviction]]:
         line = self._lines.get(block)
         if line is None:

@@ -30,6 +30,12 @@ class LineState(IntEnum):
     DIRTY = 2
 
 
+# The members as plain module constants: loading an enum member through
+# its class costs several times a global load on the per-fill paths.
+SHARED = LineState.SHARED
+DIRTY = LineState.DIRTY
+
+
 class CacheLevel:
     """One set-associative cache level (tags only; no data is simulated)."""
 
@@ -164,10 +170,10 @@ class ProcessorCache:
         state = s2.pop(block, None)
         if state is not None:
             s2[block] = state
-        if state is LineState.DIRTY:
+        if state is DIRTY:
             self.l1.lookup(block)
             return "hit"
-        if state is LineState.SHARED:
+        if state is SHARED:
             return "upgrade"
         return None
 
@@ -181,45 +187,56 @@ class ProcessorCache:
 
     def holds_dirty(self, block: int) -> bool:
         """Dirty either in L2 or parked in the writeback buffer."""
-        return self.l2.peek(block) is LineState.DIRTY or block in self.wb_buffer
+        return self.l2.peek(block) is DIRTY or block in self.wb_buffer
 
     # -- state transitions -------------------------------------------------
 
-    def install(self, block: int, state: LineState) -> List[Tuple[int, LineState]]:
-        """Fill both levels; returns evicted ``(block, old_state)`` pairs.
+    def install(
+        self, block: int, state: LineState
+    ) -> Tuple[Tuple[int, bool], ...]:
+        """Fill both levels; returns the evicted ``(block, was_dirty)`` pairs.
 
         DIRTY victims are parked in the writeback buffer (the caller must
-        issue the writeback); SHARED victims are reported so the caller
-        can send a replacement hint when that option is enabled.
+        issue the writeback); clean victims are reported so the caller
+        can send a replacement hint when that option is enabled.  Runs
+        once per fill, so both levels' :meth:`CacheLevel.install` are
+        inlined (L2 first, then the write-through L1, which is always
+        clean and whose victims need no action).
         """
-        evictions: List[Tuple[int, LineState]] = []
-        victim = self.l2.install(block, state)
-        if victim is not None:
-            vblock, vstate = victim
-            self.l1.invalidate(vblock)  # inclusion
-            if vstate is LineState.DIRTY:
+        evictions: Tuple[Tuple[int, bool], ...] = ()
+        l1 = self.l1
+        l2 = self.l2
+        s2 = l2._sets[block % l2.num_sets]
+        if s2.pop(block, None) is None and len(s2) >= l2.assoc:
+            vblock = next(iter(s2))  # LRU end: oldest insertion
+            dirty = s2.pop(vblock) is DIRTY
+            l1._sets[vblock % l1.num_sets].pop(vblock, None)  # inclusion
+            if dirty:
                 self.wb_buffer.add(vblock)
-            evictions.append((vblock, vstate))
+            evictions = ((vblock, dirty),)
             if self.tracer.enabled:
                 self.tracer.emit_now(
                     "cache.evict", comp="cache", tid=self.tid,
-                    args={"block": vblock,
-                          "dirty": vstate is LineState.DIRTY},
+                    args={"block": vblock, "dirty": dirty},
                 )
-        self.l1.install(block, LineState.SHARED)  # L1 is write-through/clean
+        s2[block] = state
+        s1 = l1._sets[block % l1.num_sets]
+        if s1.pop(block, None) is None and len(s1) >= l1.assoc:
+            del s1[next(iter(s1))]
+        s1[block] = SHARED  # L1 is write-through/clean
         return evictions
 
     def upgrade(self, block: int) -> None:
         """SHARED -> DIRTY after an ownership grant."""
-        self.l2.set_state(block, LineState.DIRTY)
+        self.l2.set_state(block, DIRTY)
 
     def downgrade(self, block: int) -> bool:
         """DIRTY -> SHARED (read forwarded to this owner).
 
         Returns True if the line (or its writeback-buffer ghost) was here.
         """
-        if self.l2.peek(block) is LineState.DIRTY:
-            self.l2.set_state(block, LineState.SHARED)
+        if self.l2.peek(block) is DIRTY:
+            self.l2.set_state(block, SHARED)
             return True
         if block in self.wb_buffer:
             # The forward caught our writeback in flight; the buffer

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.machine.cache import LineState, ProcessorCache
+from repro.machine.cache import DIRTY, SHARED, ProcessorCache
 from repro.machine.config import MachineConfig
 from repro.obs.tracer import NULL_TRACER
 
@@ -101,7 +101,7 @@ class Cluster:
             if self._single:
                 return self._miss
             if self._sibling_with_copy(block, proc_idx) is not None:
-                evictions = self._install(proc_idx, block, LineState.SHARED)
+                evictions = cache.install(block, SHARED)
                 return LocalResult(
                     True, self.config.bus_transfer_cycles, evictions,
                     where="bus",
@@ -120,7 +120,7 @@ class Cluster:
             for i, c in enumerate(self.caches):
                 if i != proc_idx:
                     c.invalidate(block)
-            evictions = self._install(proc_idx, block, LineState.DIRTY)
+            evictions = cache.install(block, DIRTY)
             return LocalResult(
                 True, self.config.bus_transfer_cycles, evictions, where="bus"
             )
@@ -141,28 +141,20 @@ class Cluster:
         the in-flight writeback).  Ghosts only serve incoming forwards.
         """
         for c in self.caches:
-            if c.l2.peek(block) is LineState.DIRTY:
+            if c.l2.peek(block) is DIRTY:
                 return True
         return False
-
-    def _install(
-        self, proc_idx: int, block: int, state: LineState
-    ) -> Tuple[Tuple[int, bool], ...]:
-        evictions = self.caches[proc_idx].install(block, state)
-        if not evictions:
-            return ()
-        return tuple(
-            (vblock, vstate is LineState.DIRTY) for vblock, vstate in evictions
-        )
 
     # -- effects applied by directories ----------------------------------------
 
     def install_from_directory(
         self, proc_idx: int, block: int, dirty: bool
     ) -> Tuple[Tuple[int, bool], ...]:
-        """Fill after a directory transaction completed."""
-        state = LineState.DIRTY if dirty else LineState.SHARED
-        return self._install(proc_idx, block, state)
+        """Fill after a directory transaction; the evicted
+        ``(block, was_dirty)`` pairs."""
+        return self.caches[proc_idx].install(
+            block, DIRTY if dirty else SHARED
+        )
 
     def invalidate_block(
         self, block: int, txn_id: Optional[int] = None
@@ -221,4 +213,4 @@ class Cluster:
     def writeback_done(self, block: int) -> None:
         """Home processed our writeback: release the buffer slot."""
         for c in self.caches:
-            c.writeback_done(block)
+            c.wb_buffer.discard(block)  # inlined ProcessorCache.writeback_done

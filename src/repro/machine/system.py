@@ -113,9 +113,10 @@ class DashSystem:
         self.sync = SyncManager(self)
         self.processors: List[Processor] = []
         self._finished = 0
-        # hot-path bindings (config is frozen; neither is ever rebound)
+        # hot-path bindings (config is frozen; none is ever rebound)
         self._block_bytes = config.block_bytes
-        self._home_of = config.home_of
+        #: ``block % _num_clusters`` is config.home_of, inlined
+        self._num_clusters = config.num_clusters
         #: monotone causal id for traced transactions (0 = never traced);
         #: advanced only when tracing is on, so untraced runs are untouched
         self._txn_seq = 0
@@ -212,7 +213,7 @@ class DashSystem:
             return
 
         stats.remote_misses += 1
-        home = self._home_of(block)
+        home = block % self._num_clusters
         txn_id: Optional[int] = None
         if self.obs.enabled:
             # the causal correlation id every span this transaction
@@ -220,17 +221,10 @@ class DashSystem:
             self._txn_seq += 1
             txn_id = self._txn_seq
 
-        txn = Transaction(
-            WRITE if is_write else READ,
-            block,
-            cluster_id,
-            proc.proc_idx,
-            self._complete_miss,
-            txn_id=txn_id,
-        )
-        txn.resume = resume
-        txn.t_issue = events.now
-        self.directories[home].submit(txn)
+        self.directories[home].submit(Transaction(
+            WRITE if is_write else READ, block, cluster_id, proc.proc_idx,
+            self._complete_miss, False, txn_id, resume, events.now,
+        ))
 
     def _complete_miss(self, txn: Transaction, t: float) -> None:
         """Directory transaction done: fill the requester and resume.
@@ -251,13 +245,13 @@ class DashSystem:
                 ts=t_issue,
                 dur=t - t_issue,
                 comp="directory",
-                tid=self._home_of(block),
+                tid=block % self._num_clusters,
                 args={"block": block, "requester": cluster_id,
                       "txn_id": txn.txn_id},
             )
             obs.metrics.histogram(f"txn_latency.{kind}").observe(t - t_issue)
         evictions = self.clusters[cluster_id].install_from_directory(
-            txn.proc_idx, block, dirty=is_write
+            txn.proc_idx, block, is_write
         )
         if evictions:
             self._handle_evictions(cluster_id, evictions)
@@ -267,7 +261,7 @@ class DashSystem:
         """Issue writebacks (and optional hints) for cache fills' victims."""
         cluster = self.clusters[cluster_id]
         directories = self.directories
-        home_of = self._home_of
+        num_clusters = self._num_clusters
         for vblock, was_dirty in evictions:
             if was_dirty:
                 self.stats.writebacks += 1
@@ -277,10 +271,9 @@ class DashSystem:
                         args={"block": vblock},
                     )
                 still_shared = cluster.copies_besides_wb(vblock)
-                directories[home_of(vblock)].submit(
-                    Transaction(
-                        WRITEBACK, vblock, cluster_id, still_shared=still_shared
-                    )
+                directories[vblock % num_clusters].submit(
+                    Transaction(WRITEBACK, vblock, cluster_id, 0, None,
+                                still_shared)
                 )
             elif self.config.replacement_hints:
                 if not cluster.copies_besides_wb(vblock):
@@ -289,7 +282,7 @@ class DashSystem:
                             "hint.issue", comp="cluster", tid=cluster_id,
                             args={"block": vblock},
                         )
-                    directories[home_of(vblock)].submit(
+                    directories[vblock % num_clusters].submit(
                         Transaction(HINT, vblock, cluster_id)
                     )
 

@@ -292,7 +292,7 @@ class _BlockChecker:
     def _line(self) -> Optional[DirLine]:
         """The single modeled line's directory state, if allocated."""
         home = self.cfg.home(0)
-        return self.state.stores[home].lookup(self.block)
+        return self.state.stores[home].peek(self.block)
 
     # -- the block's sequence ------------------------------------------------
 

@@ -11,7 +11,7 @@ from repro.core import (
     RandomPolicy,
     make_policy,
 )
-from repro.core.sparse import sparse_entries_for_size_factor
+from repro.core.sparse import AllWaysBusy, sparse_entries_for_size_factor
 
 
 def make_sparse(entries=8, assoc=2, policy="lru", nodes=8):
@@ -141,6 +141,39 @@ class TestSparseDirectory:
         for block in range(8):
             d.get_or_allocate(block % 8)
         assert d.replacements == 4  # blocks 4..7 each evicted one
+
+    def test_peek_does_not_touch_lru(self):
+        d = make_sparse(entries=8, assoc=2, policy="lru")
+        d.get_or_allocate(0)
+        d.get_or_allocate(4)
+        assert d.peek(0) is not None  # 0 stays least recently used
+        assert d.peek(8) is None
+        _, evictions = d.get_or_allocate(8)
+        assert evictions[0].block == 0
+
+    def test_avoid_is_a_live_set_that_may_hold_the_block(self):
+        # the controller passes its mutable busy set, which contains the
+        # block being allocated; only resident blocks can be pinned
+        d = make_sparse(entries=8, assoc=2, policy="lru")
+        d.get_or_allocate(0)
+        d.get_or_allocate(4)
+        busy = {8, 0}
+        _, evictions = d.get_or_allocate(8, busy)
+        assert [ev.block for ev in evictions] == [4]
+        busy.add(4)  # now every resident way is pinned
+        with pytest.raises(AllWaysBusy):
+            d.get_or_allocate(12, busy | {12})
+        assert d.peek(12) is None and d.allocations == 3
+        busy.discard(0)
+        _, evictions = d.get_or_allocate(12, busy)
+        assert [ev.block for ev in evictions] == [0]
+
+    def test_not_homed_here_rejected(self):
+        d = SparseDirectory(FullBitVectorScheme(4), 8, 2, stride=4, offset=1)
+        d.get_or_allocate(5)
+        for call in (d.get_or_allocate, d.lookup, d.peek, d.release):
+            with pytest.raises(ValueError, match="not homed here"):
+                call(6)
 
 
 class TestReplacementPolicies:

@@ -82,7 +82,7 @@ class TestProcessorCache:
         pc = make_cache(l2_bytes=32, l2_assoc=1)
         pc.install(0, LineState.DIRTY)
         evictions = pc.install(2, LineState.SHARED)
-        assert evictions == [(0, LineState.DIRTY)]
+        assert evictions == ((0, True),)  # (block, was_dirty)
         assert 0 in pc.wb_buffer
         assert pc.holds_dirty(0)  # ghost still serves forwards
         pc.writeback_done(0)
@@ -92,7 +92,7 @@ class TestProcessorCache:
         pc = make_cache(l2_bytes=32, l2_assoc=1)
         pc.install(0, LineState.SHARED)
         evictions = pc.install(2, LineState.SHARED)
-        assert evictions == [(0, LineState.SHARED)]
+        assert evictions == ((0, False),)
         assert 0 not in pc.wb_buffer
 
     def test_downgrade_live_line(self):
