@@ -119,6 +119,80 @@ def test_split_run_is_byte_identical(overrides):
     assert _stats_json(second.run()) == _baseline(config)
 
 
+#: configurations whose state the checkpoint must carry beyond the plain
+#: machine: fault RNG and retries, the strict checker's outstanding
+#: transactions, release-consistency write buffers and fences (partial
+#: continuations), pooled entries and sparse LRU stamps
+SPLIT_VARIANTS = {
+    "faults-coarse-vector": ({"scheme": "Dir4CV4"}, {"faults": 7}),
+    "faults-sparse-lru": (
+        {"scheme": "Dir3CV2", "sparse_size_factor": 1.0,
+         "sparse_policy": "lru"},
+        {"faults": 7},
+    ),
+    # small caches: a strict scan walks every cache set after each
+    # transaction
+    "strict-invariants": (
+        {"l1_bytes": 1024, "l2_bytes": 4096}, {"invariants": "strict"}
+    ),
+    "release-consistency": (
+        {"scheme": "Dir3B", "release_consistency": True}, {}
+    ),
+    "shared-entry": ({"shared_entry_group": 2}, {}),
+}
+
+
+@pytest.mark.parametrize("cut", [37, 150, 777])
+@pytest.mark.parametrize(
+    "overrides,kwargs", SPLIT_VARIANTS.values(), ids=SPLIT_VARIANTS.keys()
+)
+def test_split_run_variants_are_byte_identical(overrides, kwargs, cut):
+    """Split runs stay exact with fault injection, strict invariants,
+    release consistency and pooled entries, at early and late cuts."""
+    config = _config(**overrides)
+    key = json.dumps([config.cache_key_fields(), kwargs], sort_keys=True)
+    if key not in _baselines:
+        _baselines[key] = _stats_json(
+            DashSystem(config, _workload(), **kwargs).run()
+        )
+
+    first = DashSystem(config, _workload(), **kwargs)
+    first.run(max_events=cut)
+    ckpt = first.checkpoint()
+    second = DashSystem(config, _workload(), **kwargs)
+    second.restore(ckpt)
+    assert _stats_json(second.run()) == _baselines[key]
+
+
+def test_traced_split_run_matches_plain_traced_run():
+    """A traced run split by a checkpoint ends with the same events and
+    tallies as an uninterrupted traced run, ``ckpt.*`` excluded."""
+    config = _config(scheme="Dir2B")
+    plain = Tracer(1 << 17)
+    DashSystem(config, _workload(), obs=plain).run()
+
+    first = DashSystem(config, _workload(), obs=Tracer(1 << 17))
+    first.run(max_events=150)
+    ckpt = first.checkpoint()
+    resumed = Tracer(1 << 17)
+    second = DashSystem(config, _workload(), obs=resumed)
+    second.restore(ckpt)
+    second.run()
+
+    def strip(tracer):
+        return [e for e in tracer.events() if not e.name.startswith("ckpt.")]
+
+    def tallies(tracer):
+        counts = {k: n for k, n in tracer.counts.items()
+                  if not k.startswith("ckpt.")}
+        counters = {k: c.to_dict() for k, c in tracer.metrics.counters.items()
+                    if not k.startswith("ckpt_")}
+        return counts, counters, tracer.metrics.to_dict()["histograms"]
+
+    assert strip(resumed) == strip(plain)
+    assert tallies(resumed) == tallies(plain)
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     """Disk round trip: header readable, verification passes, the loaded
     snapshot resumes to the uninterrupted result, no temp file remains."""
