@@ -32,7 +32,6 @@ from repro.analysis.supervisor import (
     SweepReport,
 )
 from repro.analysis.sweeps import (
-    ParallelRunner,
     PointSpec,
     Sweep,
     SweepResults,
@@ -60,7 +59,6 @@ __all__ = [
     "excess_invalidations",
     "total_variation_distance",
     "ChaosPlan",
-    "ParallelRunner",
     "PointSpec",
     "ResultCache",
     "SupervisedRunner",

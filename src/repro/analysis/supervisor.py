@@ -666,9 +666,8 @@ class _WorkerHandle:
 class SupervisedRunner:
     """Fault-tolerant point executor: dispatch, supervise, retry, report.
 
-    Unlike :class:`~repro.analysis.sweeps.ParallelRunner` (static
-    round-robin shards, blocking queue reads), the supervised runner
-    dispatches points dynamically over per-worker pipes and its loop
+    The runner dispatches points dynamically over per-worker pipes and
+    its loop
     never blocks without a timeout: every wait covers worker pipes *and*
     process sentinels, so a worker that dies without reporting is
     detected immediately, its in-flight point is retried with backoff on

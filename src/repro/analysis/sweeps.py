@@ -30,8 +30,7 @@ identical results:
   fingerprint) already has a stored result.
 
 Resilience knobs (``policy``, ``report``, ``manifest``) are documented
-on :func:`run_points`; :class:`ParallelRunner` remains as the simple
-static-shard executor for callers that want no supervision.
+on :func:`run_points`.
 
 The ``progress`` callback contract holds on every path: it is invoked
 exactly once per *completed* point (simulated or cache-loaded), in
@@ -43,11 +42,7 @@ of points before the first (grid-order) failure.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
-import pickle
-import queue as queue_mod
-import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,7 +67,6 @@ from repro.analysis.supervisor import (
     SupervisorPolicy,
     SweepManifest,
     SweepReport,
-    WorkerDied,
     fork_context,
 )
 from repro.machine.config import MachineConfig
@@ -204,161 +198,6 @@ class PointSpec:
     workload_factory: Callable[[], Workload]
     check: bool = False
     label: str = ""
-
-
-#: backwards-compatible alias; the implementation lives in supervisor.py
-_fork_context = fork_context
-
-
-def _worker_main(
-    specs: Sequence[PointSpec],
-    shard: Sequence[int],
-    queue: "multiprocessing.queues.Queue",
-) -> None:
-    """Forked worker: simulate one shard, stream (index, stats, wall) back.
-
-    On the first failing point the worker reports ``(index, exception)``
-    and exits; its remaining points are accounted for by the parent.
-    Only :class:`Exception` is relayed as a point failure —
-    ``KeyboardInterrupt``/``SystemExit`` terminate the worker, and
-    SIGINT is restored to its default disposition so Ctrl-C is handled
-    once, by the parent (which sees the death through supervision).
-    """
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    for idx in shard:
-        spec = specs[idx]
-        try:
-            t0 = time.perf_counter()
-            stats = run_workload(
-                spec.config, spec.workload_factory(), check=spec.check
-            )
-            queue.put((idx, stats, time.perf_counter() - t0))
-        except Exception as exc:  # noqa: BLE001 - relayed to the parent
-            try:
-                pickle.dumps(exc)
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            queue.put((idx, exc, None))
-            return
-
-
-class ParallelRunner:
-    """Executes point specs across forked workers, deterministically.
-
-    Sharding is round-robin by grid index (worker ``w`` gets indices
-    ``w, w+jobs, w+2*jobs, ...``), so the assignment — and therefore any
-    per-worker execution order effect — is a pure function of the grid
-    and ``jobs``.  Each point is simulated from a freshly built workload
-    exactly as the serial path would, so results are point-for-point
-    identical; only wall-clock changes.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-
-    def run(
-        self,
-        specs: Sequence[PointSpec],
-        indices: Sequence[int],
-        on_complete: Optional[Callable[[int, SimStats, float], None]] = None,
-    ) -> Dict[int, SimStats]:
-        """Simulate the points at ``indices``; returns index -> stats.
-
-        ``on_complete`` fires in *completion* order (any index order) as
-        results stream in — grid-order delivery is the caller's job.  If
-        any point raises, every live shard is drained first and the
-        failure with the smallest grid index is re-raised, matching the
-        error the serial path would have hit first.
-
-        The receive loop never blocks unconditionally: queue reads are
-        timed and worker exit codes are checked between them, so a
-        worker that dies without enqueueing (OOM kill, segfault,
-        ``SystemExit``) surfaces as a :class:`~repro.analysis.supervisor.
-        WorkerDied` error for its in-flight point instead of a deadlock.
-        An exception escaping ``on_complete`` (or any interrupt)
-        terminates the remaining workers rather than joining them to
-        completion.
-        """
-        ctx = _fork_context()
-        assert ctx is not None, "ParallelRunner requires fork support"
-        shards = [
-            list(indices[w :: self.jobs]) for w in range(self.jobs)
-        ]
-        shards = [s for s in shards if s]
-        queue = ctx.Queue()
-        workers = [
-            ctx.Process(
-                target=_worker_main, args=(specs, shard, queue), daemon=True
-            )
-            for shard in shards
-        ]
-        for worker in workers:
-            worker.start()
-        shard_of = {
-            idx: w for w, shard in enumerate(shards) for idx in shard
-        }
-        done_in_shard = [0] * len(shards)
-        dead_shards: set = set()
-        suspect_shards: Dict[int, int] = {}
-        expected = sum(len(s) for s in shards)
-        received = 0
-        results: Dict[int, SimStats] = {}
-        errors: Dict[int, BaseException] = {}
-        completed = False
-        try:
-            while received < expected:
-                try:
-                    idx, payload, wall = queue.get(timeout=0.2)
-                except queue_mod.Empty:
-                    # liveness check: a shard that died without reporting
-                    # abandons its remaining points with a WorkerDied error.
-                    # Two consecutive empty polls are required so results
-                    # still in the queue pipe when the worker exits get a
-                    # window to arrive before the death is declared.
-                    for w, worker in enumerate(workers):
-                        if w in dead_shards or worker.is_alive():
-                            continue
-                        if done_in_shard[w] >= len(shards[w]):
-                            continue  # shard finished; worker exited cleanly
-                        suspect_shards[w] = suspect_shards.get(w, 0) + 1
-                        if suspect_shards[w] < 2:
-                            continue
-                        dead_shards.add(w)
-                        idx = shards[w][done_in_shard[w]]
-                        errors[idx] = WorkerDied(
-                            f"worker (pid {worker.pid}) exited with code "
-                            f"{worker.exitcode} while running point {idx}"
-                        )
-                        received += len(shards[w]) - done_in_shard[w]
-                    continue
-                w = shard_of[idx]
-                suspect_shards.pop(w, None)
-                done_in_shard[w] += 1
-                if wall is None:
-                    # shard w failed at idx: its unfinished points never
-                    # arrive (the worker exits after reporting)
-                    dead_shards.add(w)
-                    errors[idx] = payload
-                    received += len(shards[w]) - done_in_shard[w] + 1
-                    continue
-                received += 1
-                results[idx] = payload
-                if on_complete is not None:
-                    on_complete(idx, payload, wall)
-            completed = True
-        finally:
-            for worker in workers:
-                if errors or not completed:
-                    worker.terminate()
-                worker.join()
-            queue.close()
-            queue.cancel_join_thread()
-        if errors:
-            raise errors[min(errors)]
-        return results
 
 
 def run_points(
@@ -511,7 +350,7 @@ def run_points(
         if monitor is not None:
             monitor.telemetry(point)
 
-    fork_ok = _fork_context() is not None
+    fork_ok = fork_context() is not None
     use_workers = fork_ok and misses and (
         (jobs > 1 and len(misses) > 1) or supervised
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 
 class DirectoryEntry(ABC):
@@ -72,25 +72,6 @@ class DirectoryEntry(ABC):
     @abstractmethod
     def reset(self) -> None:
         """Forget all sharers (after an invalidation round completes)."""
-
-    # -- state capture (simulation checkpointing) ------------------------
-
-    @abstractmethod
-    def to_state(self) -> Tuple[Any, ...]:
-        """Plain-data snapshot of this entry, headed by a class tag.
-
-        Together with :meth:`load_state` this must be *lossless*: a
-        restored entry behaves identically to the original for every
-        future operation, including representation-mode flags and the
-        internal ordering that drives eviction/unravel order (pointer
-        lists, SCI chains).  Shared external state — the scheme's RNG,
-        the overflow cache's wide store — is snapshotted by
-        :meth:`DirectoryScheme.to_state`, not here.
-        """
-
-    @abstractmethod
-    def load_state(self, state: Tuple[Any, ...]) -> None:
-        """Restore a snapshot produced by :meth:`to_state` (same scheme)."""
 
     # -- conveniences shared by all implementations ---------------------
 
@@ -163,26 +144,6 @@ class DirectoryScheme(ABC):
         """Total bits per entry: presence + 1 dirty bit + optional tag."""
         return self.presence_bits() + 1 + tag_bits
 
-    # -- state capture (simulation checkpointing) ------------------------
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot of scheme-level mutable state (the victim-choice RNG,
-        plus whatever shared structures a subclass adds)."""
-        return {"rng": self.rng.getstate()}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`to_state` onto a scheme built with identical
-        constructor parameters.  Apply *after* restoring entries, so
-        shared structures (the overflow cache's wide store) end up
-        exactly as saved regardless of entry-restore side effects."""
-        self.rng.setstate(state["rng"])
-
-    def entry_from_state(self, state: Tuple[Any, ...]) -> DirectoryEntry:
-        """A fresh entry restored from :meth:`DirectoryEntry.to_state`."""
-        entry = self.make_entry()
-        entry.load_state(state)
-        return entry
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name} nodes={self.num_nodes}>"
 
@@ -206,16 +167,6 @@ def check_node(node: int, num_nodes: int) -> None:
     """Raise ValueError unless ``0 <= node < num_nodes``."""
     if not 0 <= node < num_nodes:
         raise ValueError(f"node {node} out of range [0, {num_nodes})")
-
-
-def check_state_tag(state: Tuple[Any, ...], tag: str, cls: type) -> None:
-    """Raise ValueError unless ``state`` carries the expected class tag."""
-    found = state[0] if state else None
-    if found != tag:
-        raise ValueError(
-            f"cannot restore {cls.__name__} from entry state tagged {found!r}"
-            f" (expected {tag!r})"
-        )
 
 
 class PointerListEntry(DirectoryEntry):

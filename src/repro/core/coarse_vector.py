@@ -15,13 +15,12 @@ never worse than ``Dir_iB`` for the same storage (the paper's key claim).
 from __future__ import annotations
 
 import math
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.core.base import (
     DirectoryScheme,
     PointerListEntry,
     check_node,
-    check_state_tag,
     expand_exclude,
     nodes_in_regions,
     pointer_bits,
@@ -95,15 +94,6 @@ class CoarseVectorEntry(PointerListEntry):
         if self.coarse:
             return self.region_mask == 0
         return not self.pointers
-
-    def to_state(self) -> Tuple[Any, ...]:
-        return ("cv", tuple(self.pointers), self.region_mask, self.coarse)
-
-    def load_state(self, state: Tuple[Any, ...]) -> None:
-        check_state_tag(state, "cv", type(self))
-        self.pointers = list(state[1])
-        self.region_mask = state[2]
-        self.coarse = state[3]
 
     def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
         if not self.coarse:

@@ -9,14 +9,13 @@ grows with the processor count, which is what motivates the paper.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.core.base import (
     DirectoryEntry,
     DirectoryScheme,
     bitmask_nodes,
     check_node,
-    check_state_tag,
     expand_exclude,
 )
 
@@ -53,13 +52,6 @@ class FullBitVectorEntry(DirectoryEntry):
 
     def might_share(self, node: int) -> bool:
         return bool(self.mask >> node & 1)
-
-    def to_state(self) -> Tuple[Any, ...]:
-        return ("fbv", self.mask)
-
-    def load_state(self, state: Tuple[Any, ...]) -> None:
-        check_state_tag(state, "fbv", type(self))
-        self.mask = state[1]
 
     def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
         # Ascending bit-scan over the presence mask; clearing the excluded

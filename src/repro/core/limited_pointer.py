@@ -13,13 +13,12 @@ they survive pointer overflow:
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.core.base import (
     DirectoryScheme,
     PointerListEntry,
     check_node,
-    check_state_tag,
     expand_exclude,
     pointer_bits,
 )
@@ -70,14 +69,6 @@ class BroadcastEntry(PointerListEntry):
 
     def is_empty(self) -> bool:
         return not self.broadcast and not self.pointers
-
-    def to_state(self) -> Tuple[Any, ...]:
-        return ("b", tuple(self.pointers), self.broadcast)
-
-    def load_state(self, state: Tuple[Any, ...]) -> None:
-        check_state_tag(state, "b", type(self))
-        self.pointers = list(state[1])
-        self.broadcast = state[2]
 
     def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
         if not self.broadcast:
@@ -142,15 +133,6 @@ class NoBroadcastEntry(PointerListEntry):
 
     def is_empty(self) -> bool:
         return not self.pointers
-
-    def to_state(self) -> Tuple[Any, ...]:
-        # Pointer *order* matters: the overflow victim is picked by index,
-        # so a restored list must keep its exact arrangement.
-        return ("nb", tuple(self.pointers))
-
-    def load_state(self, state: Tuple[Any, ...]) -> None:
-        check_state_tag(state, "nb", type(self))
-        self.pointers = list(state[1])
 
     def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
         return self._pointers_sorted(exclude)

@@ -18,13 +18,12 @@ honours when scheduling invalidation messages.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from repro.core.base import (
     DirectoryEntry,
     DirectoryScheme,
     check_node,
-    check_state_tag,
     expand_exclude,
     pointer_bits,
 )
@@ -73,15 +72,6 @@ class LinkedListEntry(DirectoryEntry):
 
     def is_empty(self) -> bool:
         return not self.chain
-
-    def to_state(self) -> Tuple[Any, ...]:
-        # Chain order (head first) drives serial-invalidation unravel
-        # order, so it must survive a round trip exactly.
-        return ("ll", tuple(self.chain))
-
-    def load_state(self, state: Tuple[Any, ...]) -> None:
-        check_state_tag(state, "ll", type(self))
-        self.chain = list(state[1])
 
 
 class LinkedListScheme(DirectoryScheme):

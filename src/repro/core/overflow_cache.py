@@ -17,14 +17,13 @@ storage budget.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro.core.base import (
     DirectoryScheme,
     PointerListEntry,
     bitmask_nodes,
     check_node,
-    check_state_tag,
     expand_exclude,
     pointer_bits,
 )
@@ -57,13 +56,6 @@ class _WideStore:
 
     def __len__(self) -> int:
         return len(self._masks)
-
-    def to_state(self) -> List[Tuple[int, int]]:
-        """``(key, mask)`` pairs in LRU→MRU order (eviction order)."""
-        return list(self._masks.items())
-
-    def load_state(self, items: List[Tuple[int, int]]) -> None:
-        self._masks = OrderedDict((int(k), int(m)) for k, m in items)
 
 
 class OverflowCacheEntry(PointerListEntry):
@@ -151,28 +143,6 @@ class OverflowCacheEntry(PointerListEntry):
             return mask == 0 if mask is not None else False
         return not self.pointers
 
-    def to_state(self) -> Tuple[Any, ...]:
-        # The wide mask itself lives in the scheme's shared store and is
-        # captured by OverflowCacheScheme.to_state (in LRU order); the
-        # entry only carries its identity key into the snapshot.
-        return ("of", tuple(self.pointers), self.key, self.wide, self.broadcast)
-
-    def load_state(self, state: Tuple[Any, ...]) -> None:
-        check_state_tag(state, "of", type(self))
-        _, pointers, key, wide, broadcast = state
-        scheme = self.scheme
-        if key != self.key:
-            # Re-register under the saved key so wide-store entries keep
-            # pointing at us.  Guard the pop by identity: another entry
-            # being restored may already occupy our construction-time key.
-            if scheme._entries.get(self.key) is self:
-                del scheme._entries[self.key]
-            self.key = key
-            scheme._entries[key] = self
-        self.pointers = list(pointers)
-        self.wide = wide
-        self.broadcast = broadcast
-
 
 class OverflowCacheScheme(DirectoryScheme):
     """``Dir_i`` pointers with a shared wide-entry overflow cache."""
@@ -213,21 +183,6 @@ class OverflowCacheScheme(DirectoryScheme):
         if entry is not None and entry.wide:
             entry.wide = False
             entry.broadcast = True
-
-    def to_state(self) -> Dict[str, Any]:
-        state = super().to_state()
-        state["key_counter"] = self._key_counter
-        state["wide_masks"] = self.wide_store.to_state()
-        return state
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        # Applied after the entries themselves have been restored (and
-        # have re-registered under their saved keys), so overwriting the
-        # wide store here reproduces the exact saved LRU order no matter
-        # what transient puts happened during entry restoration.
-        super().load_state(state)
-        self._key_counter = state["key_counter"]
-        self.wide_store.load_state(state["wide_masks"])
 
     def presence_bits(self) -> int:
         # Per-block cost: i pointers + wide flag + broadcast bit.  The

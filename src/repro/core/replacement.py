@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Sequence
+from typing import List, Sequence
 
 
 class ReplacementPolicy(ABC):
@@ -45,15 +45,6 @@ class ReplacementPolicy(ABC):
     def choose_victim(self, set_index: int, ways: Sequence[int]) -> int:
         """Pick the way to evict among the candidate ``ways`` (all valid)."""
 
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot of mutable policy state (simulation checkpointing)."""
-        return {"rng": self.rng.getstate(), "clock": self._clock}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore onto a policy built with identical parameters."""
-        self.rng.setstate(state["rng"])
-        self._clock = state["clock"]
-
 
 class LRUPolicy(ReplacementPolicy):
     """Least-recently-used: evict the way with the oldest access."""
@@ -76,15 +67,6 @@ class LRUPolicy(ReplacementPolicy):
         stamps = self._last_access[set_index]
         return min(ways, key=lambda w: stamps[w])
 
-    def to_state(self) -> Dict[str, Any]:
-        state = super().to_state()
-        state["last_access"] = [list(row) for row in self._last_access]
-        return state
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        super().load_state(state)
-        self._last_access = [list(row) for row in state["last_access"]]
-
 
 class LRAPolicy(ReplacementPolicy):
     """Least-recently-allocated: ignores accesses, orders by fill time."""
@@ -103,15 +85,6 @@ class LRAPolicy(ReplacementPolicy):
     def choose_victim(self, set_index: int, ways: Sequence[int]) -> int:
         stamps = self._alloc_time[set_index]
         return min(ways, key=lambda w: stamps[w])
-
-    def to_state(self) -> Dict[str, Any]:
-        state = super().to_state()
-        state["alloc_time"] = [list(row) for row in self._alloc_time]
-        return state
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        super().load_state(state)
-        self._alloc_time = [list(row) for row in state["alloc_time"]]
 
 
 class RandomPolicy(ReplacementPolicy):

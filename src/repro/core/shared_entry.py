@@ -19,7 +19,7 @@ how the suggestion is usually read and the cheapest-hardware variant.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.base import DirectoryEntry, DirectoryScheme
 from repro.core.sparse import DirectoryStore, DirLine, Eviction
@@ -111,34 +111,3 @@ class SharedEntryDirectory(DirectoryStore):
     def presence_bits_per_block(self) -> float:
         """Amortized presence storage per memory block."""
         return self.scheme.presence_bits() / self.group_size
-
-    def to_state(self) -> Dict[str, Any]:
-        return {
-            "allocations": self.allocations,
-            "replacements": self.replacements,
-            # Entries serialized once per group; lines reference their
-            # group so the aliasing (several lines sharing one entry
-            # object) survives the round trip.
-            "entries": [
-                (group, entry.to_state())
-                for group, entry in self._entries.items()
-            ],
-            "lines": [
-                (block, self.group_of(block), line.dirty, line.owner)
-                for block, line in self._lines.items()
-            ],
-        }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.allocations = state["allocations"]
-        self.replacements = state["replacements"]
-        self._entries = {
-            group: self.scheme.entry_from_state(entry_state)
-            for group, entry_state in state["entries"]
-        }
-        self._lines = {
-            block: _GroupLine(
-                entry=self._entries[group], dirty=dirty, owner=owner
-            )
-            for block, group, dirty, owner in state["lines"]
-        }

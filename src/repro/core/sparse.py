@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.base import DirectoryEntry, DirectoryScheme
 from repro.core.replacement import ReplacementPolicy, make_policy
@@ -134,19 +134,6 @@ class DirectoryStore(ABC):
         available."""
         return sum(1 for _ in self.lines())
 
-    # -- state capture (simulation checkpointing) ------------------------
-
-    @abstractmethod
-    def to_state(self) -> Dict[str, Any]:
-        """Lossless plain-data snapshot of every line and counter."""
-
-    @abstractmethod
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`to_state` onto a store built with identical
-        parameters.  Entries are rebuilt via the scheme, so scheme-level
-        state (:meth:`DirectoryScheme.load_state`) must be applied after
-        all stores sharing the scheme have been restored."""
-
 
 class FullMapDirectory(DirectoryStore):
     """One entry per memory block — the paper's non-sparse baseline.
@@ -190,35 +177,17 @@ class FullMapDirectory(DirectoryStore):
         """Lines currently materialized (the touched working set)."""
         return len(self._lines)
 
-    def to_state(self) -> Dict[str, Any]:
-        return {
-            "allocations": self.allocations,
-            "replacements": self.replacements,
-            # Insertion order preserved so lines() iterates identically.
-            "lines": [
-                (block, line.entry.to_state(), line.dirty, line.owner)
-                for block, line in self._lines.items()
-            ],
-        }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.allocations = state["allocations"]
-        self.replacements = state["replacements"]
-        self._lines = {
-            block: DirLine(
-                entry=self.scheme.entry_from_state(entry_state),
-                dirty=dirty,
-                owner=owner,
-            )
-            for block, entry_state, dirty, owner in state["lines"]
-        }
-
 
 @dataclass
 class _Way:
     tag: int = -1
     valid: bool = False
     line: Optional[DirLine] = None
+
+    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
+        # compact checkpoints: a sparse store holds one _Way per slot and
+        # most are empty, i.e. the defaults (eviction resets all three)
+        return _Way, ((self.tag, True, self.line) if self.valid else ())
 
 
 class SparseDirectory(DirectoryStore):
@@ -412,58 +381,6 @@ class SparseDirectory(DirectoryStore):
     def occupancy(self) -> int:
         """Number of valid entries currently held."""
         return sum(way.valid for ways in self._sets for way in ways)
-
-    def to_state(self) -> Dict[str, Any]:
-        return {
-            "allocations": self.allocations,
-            "replacements": self.replacements,
-            "policy": self.policy.to_state(),
-            "sets": [
-                [
-                    (
-                        way.tag,
-                        way.valid,
-                        (
-                            way.line.entry.to_state(),
-                            way.line.dirty,
-                            way.line.owner,
-                        )
-                        if way.line is not None
-                        else None,
-                    )
-                    for way in ways
-                ]
-                for ways in self._sets
-            ],
-        }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.allocations = state["allocations"]
-        self.replacements = state["replacements"]
-        self.policy.load_state(state["policy"])
-        sets = state["sets"]
-        if len(sets) != self.num_sets or any(
-            len(ways) != self.associativity for ways in sets
-        ):
-            raise ValueError(
-                "sparse-directory geometry mismatch: snapshot has "
-                f"{len(sets)} sets, store has {self.num_sets}"
-            )
-        self._sets = []
-        for ways in sets:
-            row = []
-            for tag, valid, line_state in ways:
-                if line_state is None:
-                    row.append(_Way(tag=tag, valid=valid, line=None))
-                else:
-                    entry_state, dirty, owner = line_state
-                    line = DirLine(
-                        entry=self.scheme.entry_from_state(entry_state),
-                        dirty=dirty,
-                        owner=owner,
-                    )
-                    row.append(_Way(tag=tag, valid=valid, line=line))
-            self._sets.append(row)
 
     def layout(self) -> Tuple[Tuple[int, ...], ...]:
         """Resident block per (set, way); ``-1`` marks an empty way.

@@ -12,13 +12,12 @@ when ``x_mask`` has bit ``b`` set, else equals bit ``b`` of ``value``.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.core.base import (
     DirectoryScheme,
     PointerListEntry,
     check_node,
-    check_state_tag,
     expand_exclude,
     pointer_bits,
 )
@@ -95,15 +94,6 @@ class SupersetEntry(PointerListEntry):
 
     def is_empty(self) -> bool:
         return self.composite is None and not self.pointers
-
-    def to_state(self) -> Tuple[Any, ...]:
-        return ("x", tuple(self.pointers), self.composite)
-
-    def load_state(self, state: Tuple[Any, ...]) -> None:
-        check_state_tag(state, "x", type(self))
-        self.pointers = list(state[1])
-        composite = state[2]
-        self.composite = tuple(composite) if composite is not None else None
 
     def targets_sorted(self, exclude: Iterable[int] = ()) -> "list[int]":
         if self.composite is None:

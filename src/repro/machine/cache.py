@@ -96,25 +96,6 @@ class CacheLevel:
         """Number of valid lines held."""
         return sum(len(s) for s in self._sets)
 
-    def to_state(self) -> List[List[Tuple[int, int]]]:
-        """Per-set ``(block, state)`` pairs in LRU→MRU insertion order."""
-        return [
-            [(block, int(state)) for block, state in s.items()]
-            for s in self._sets
-        ]
-
-    def load_state(self, sets: List[List[Tuple[int, int]]]) -> None:
-        """Restore :meth:`to_state` (same geometry); order is the LRU stack."""
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"cache geometry mismatch: snapshot has {len(sets)} sets, "
-                f"cache has {self.num_sets}"
-            )
-        self._sets = [
-            {block: LineState(state) for block, state in pairs}
-            for pairs in sets
-        ]
-
 
 class ProcessorCache:
     """Two-level hierarchy for one processor; L2 is the coherence point."""
@@ -138,6 +119,12 @@ class ProcessorCache:
         #: observability sink (machine-global processor id in ``tid``)
         self.tracer = tracer
         self.tid = tid
+
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # canonical checkpoint bytes: see DirectoryController.__getstate__
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["wb_buffer"] = set(sorted(self.wb_buffer))
+        return None, state
 
     # -- probes (no state change beyond LRU refresh) -----------------------
 
@@ -262,23 +249,6 @@ class ProcessorCache:
     def writeback_done(self, block: int) -> None:
         """Home has processed our writeback; release the buffer slot."""
         self.wb_buffer.discard(block)
-
-    # -- state capture (simulation checkpointing) --------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        """Lossless snapshot: both levels' LRU stacks + writeback buffer."""
-        return {
-            "l1": self.l1.to_state(),
-            "l2": self.l2.to_state(),
-            # membership-only set: sorted for a canonical encoding
-            "wb_buffer": sorted(self.wb_buffer),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`to_state` onto an identically configured pair."""
-        self.l1.load_state(state["l1"])  # type: ignore[arg-type]
-        self.l2.load_state(state["l2"])  # type: ignore[arg-type]
-        self.wb_buffer = set(state["wb_buffer"])  # type: ignore[arg-type]
 
     # -- auditing ----------------------------------------------------------
 

@@ -1,34 +1,45 @@
 """Crash-consistent simulation checkpoints: snapshot/restore of live runs.
 
 A :class:`SimCheckpoint` captures the *entire* in-flight machine — the
-event queue (continuations serialized as ``(component, method, args)``
-descriptors), every directory entry, the cache arrays, in-flight
-transactions, per-store RNG states, workload cursors, statistics, fault
-and invariant state, and (when tracing) the observability buffers — so a
+event queue and its continuations, every directory entry, the cache
+arrays, in-flight transactions, RNG states, statistics, fault and
+invariant state, and (when tracing) the observability buffers — so a
 run killed at any cycle can be restored and continued to a result
 byte-identical to the uninterrupted run.
 
-Serialization strategy
-----------------------
+Serialization
+-------------
 
-The event heap holds ``(time, seq, callback, args)`` tuples whose
-callbacks are *bound methods* of long-lived machine components (the
-machine layer never schedules closures — enforced by the
-``unpicklable-continuation`` lint rule).  Each callback is encoded as a
-descriptor naming its component (``("system",)``, ``("proc", i)``,
-``("dir", i)``, ``("sync",)``) and method; only methods in
-:data:`CONTINUATIONS` are accepted, and anything else — a lambda, a
-closure, an unregistered method — raises
-:class:`UnregisteredContinuationError` at capture time rather than
-producing a checkpoint that cannot be restored.
+The payload is the default pickle of the system's attribute dict.  The
+objects the caller supplies — the system itself, its config, its
+workload, its tracer and that tracer's metrics registry — are pickled
+*by reference* (by name, through ``reducer_override``) and resolve
+against the restore target (``find_class``), so every back-reference (``Processor.machine``, the
+controllers' tracer handles, ``InvariantChecker.system``) lands on the
+caller's objects.  Pickle's memo keeps shared identity: a transaction
+referenced from the heap, a pending queue and the invariant checker is
+restored as one object.
 
-Arguments are encoded structurally: scalars pass through, tuples/lists
-recurse, :class:`~repro.machine.directory.Transaction` objects are
-interned into a serial-numbered table (preserving identity — the same
-transaction referenced from the heap, a pending queue, and the
-invariant checker is restored as one object), and nested callables
-(processor resumes riding in sync-grant events) re-enter the callback
-encoder.
+Two pieces of state are not plain pickling.  Processor trace streams
+are generators: a :class:`~repro.machine.processor.Processor` pickles
+without its stream, and a restore rebuilds it from
+``workload.stream(p)`` fast-forwarded by ``ops_consumed``.  The
+tracer's contents travel next to the machine, minus checkpoint
+instrumentation (see the determinism contract below).
+
+Event-queue continuations are bound methods (or ``functools.partial``
+over one), which pickle as owner plus method name.  The
+``unpicklable-continuation`` lint rule rejects lambdas and closures in
+``machine/`` statically; one reaching the heap anyway fails capture
+with :class:`UnregisteredContinuationError`.
+
+Payload bytes are canonical, so a restored machine re-captures to the
+identical payload.  Sets pickle rebuilt in sorted order (the
+``__getstate__`` of directory controllers and processor caches): a
+set's iteration order depends on its insertion history, which a restore
+does not replay.  And a capture pickles, loads and pickles again: the
+live graph shares some equal strings that a loaded graph cannot, since
+unpickling interns attribute names but not attribute values.
 
 File format
 -----------
@@ -57,77 +68,25 @@ run's (see ``docs/robustness.md`` for the full contract).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
-from collections import deque
-from functools import partial
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
-
-from repro.machine.directory import DirectoryController, Transaction
-from repro.machine.invariants import CoherenceViolation
-from repro.machine.processor import _END, Processor
-from repro.machine.stats import InvalCause, SimStats
-from repro.machine.sync import SyncManager, _BarrierState, _LockState
-from repro.obs.tracer import TraceEvent
-from repro.trace import event as trace_event
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.system import DashSystem
 
 #: checkpoint file format version; restores are refused across versions
-CKPT_SCHEMA = 1
+CKPT_SCHEMA = 2
 
 #: first bytes of every checkpoint header line
 MAGIC = "repro-ckpt"
 
 #: pickle protocol for the payload (4 = stable since Python 3.4)
 _PICKLE_PROTOCOL = 4
-
-#: the complete set of (class name, method name) pairs the machine layer
-#: may schedule into the event queue or park as a waiter continuation.
-#: Scheduling anything else makes the run uncheckpointable — additions
-#: here must be bound methods of a long-lived component reachable from
-#: the DashSystem (and should extend the determinism-gate tests).
-CONTINUATIONS = frozenset(
-    {
-        ("DashSystem", "_complete_miss"),
-        ("Processor", "_next"),
-        ("Processor", "_mem_resume"),
-        ("Processor", "_write_retired"),
-        ("Processor", "_sync_resume"),
-        ("Processor", "_fence_released"),
-        ("DirectoryController", "_arrive"),
-        ("DirectoryController", "_resend"),
-        ("DirectoryController", "_execute"),
-        ("DirectoryController", "_finish"),
-        ("SyncManager", "_lock_at_home"),
-        ("SyncManager", "_unlock_at_home"),
-        ("SyncManager", "_barrier_at_home"),
-    }
-)
-
-#: fence-slot trace ops a processor can hold (restored by name)
-_TRACE_OPS = {
-    cls.__name__: cls
-    for cls in (
-        trace_event.Read,
-        trace_event.Write,
-        trace_event.Work,
-        trace_event.Lock,
-        trace_event.Unlock,
-        trace_event.Barrier,
-    )
-}
-
-#: FaultPlan construction parameters that must match between the
-#: checkpointing and restoring runs (the RNG stream depends on them)
-_FAULT_PARAMS = (
-    "seed", "drop_prob", "dup_prob", "delay_prob", "nak_prob",
-    "corrupt_prob", "delay_max_legs", "retry_timeout_cycles",
-    "max_retries", "max_faults",
-)
 
 
 class CheckpointError(RuntimeError):
@@ -143,7 +102,8 @@ class CheckpointSchemaError(CheckpointError):
 
 
 class UnregisteredContinuationError(CheckpointError):
-    """A scheduled callback is not a registered bound-method descriptor."""
+    """The live machine holds a callable pickle cannot save (a lambda or
+    closure scheduled where a bound method belongs)."""
 
 
 def _current_fingerprint() -> str:
@@ -158,156 +118,69 @@ def _sha256(data: bytes) -> str:
 
 
 # ---------------------------------------------------------------------------
-# encoding: live machine -> plain-data state tree
+# pickling against one system
 
 
-class _Encoder:
-    """Encodes callbacks/arguments against one live system.
-
-    Transactions are interned: the first encounter assigns a serial and
-    serializes the fields (including the nested ``on_complete``/
-    ``resume`` continuations); later encounters reuse the serial, so
-    object identity survives the round trip.
-    """
-
-    def __init__(self, system: "DashSystem") -> None:
-        self.system = system
-        self.txns: List[Dict[str, Any]] = []
-        self._txn_memo: Dict[int, int] = {}
-
-    # -- components --------------------------------------------------------
-
-    def component_path(self, obj: object) -> Tuple[Any, ...]:
-        system = self.system
-        if obj is system:
-            return ("system",)
-        if isinstance(obj, Processor):
-            return ("proc", obj.proc_id)
-        if isinstance(obj, DirectoryController):
-            return ("dir", obj.cluster_id)
-        if obj is system.sync:
-            return ("sync",)
-        raise UnregisteredContinuationError(
-            f"continuation owner {obj!r} is not an addressable machine "
-            f"component (system/processor/directory/sync)"
-        )
-
-    # -- callbacks ---------------------------------------------------------
-
-    def encode_callback(self, cb: Callable[..., Any]) -> Tuple[Any, ...]:
-        if isinstance(cb, partial):
-            inner = self.encode_callback(cb.func)
-            if inner[0] != "@cb" or cb.keywords:
-                raise UnregisteredContinuationError(
-                    f"cannot checkpoint partial {cb!r}: only positional "
-                    f"partials over registered bound methods are supported"
-                )
-            return ("@partial", inner[1], inner[2], self.encode_args(cb.args))
-        owner = getattr(cb, "__self__", None)
-        name = getattr(cb, "__name__", None)
-        if owner is None or name is None:
-            raise UnregisteredContinuationError(
-                f"cannot checkpoint continuation {cb!r}: the machine layer "
-                f"must schedule bound methods, never lambdas or closures "
-                f"(see the unpicklable-continuation lint rule)"
-            )
-        if (type(owner).__name__, name) not in CONTINUATIONS:
-            raise UnregisteredContinuationError(
-                f"continuation {type(owner).__name__}.{name} is not in "
-                f"repro.machine.checkpoint.CONTINUATIONS; register it "
-                f"there (it must be a bound method of a long-lived "
-                f"component) before scheduling it"
-            )
-        return ("@cb", self.component_path(owner), name)
-
-    # -- values ------------------------------------------------------------
-
-    def encode_value(self, value: Any) -> Any:
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return value
-        if isinstance(value, Transaction):
-            return ("@txn", self.encode_txn(value))
-        if isinstance(value, tuple):
-            return ("@tuple", [self.encode_value(v) for v in value])
-        if isinstance(value, list):
-            return ("@list", [self.encode_value(v) for v in value])
-        if callable(value):
-            return self.encode_callback(value)
-        raise CheckpointError(
-            f"cannot checkpoint event argument of type "
-            f"{type(value).__name__}: {value!r}"
-        )
-
-    def encode_args(self, args: Tuple[Any, ...]) -> List[Any]:
-        return [self.encode_value(a) for a in args]
-
-    def encode_txn(self, txn: Transaction) -> int:
-        serial = self._txn_memo.get(id(txn))
-        if serial is not None:
-            return serial
-        serial = len(self.txns)
-        self._txn_memo[id(txn)] = serial
-        # Reserve the slot first: the nested continuations below cannot
-        # reference transactions, but a future field might.
-        self.txns.append({})
-        self.txns[serial] = {
-            "kind": txn.kind,
-            "block": txn.block,
-            "requester": txn.requester,
-            "proc_idx": txn.proc_idx,
-            "on_complete": (
-                self.encode_callback(txn.on_complete)
-                if txn.on_complete is not None
-                else None
-            ),
-            "still_shared": txn.still_shared,
-            "attempts": txn.attempts,
-            "delivered": txn.delivered,
-            "t_arrive": txn.t_arrive,
-            "t_start": txn.t_start,
-            "txn_id": txn.txn_id,
-            "phases": dict(txn.phases) if txn.phases is not None else None,
-            "resume": (
-                self.encode_callback(txn.resume)
-                if txn.resume is not None
-                else None
-            ),
-            "t_issue": txn.t_issue,
-        }
-        return serial
+def _references(system: "DashSystem") -> Dict[str, object]:
+    """The caller-supplied objects a payload names instead of containing."""
+    return {
+        "system": system,
+        "config": system.config,
+        "workload": system.workload,
+        "obs": system.obs,
+        "metrics": system.obs.metrics,
+    }
 
 
-def _encode_fence(op: Any) -> Any:
-    if op is None:
-        return None
-    if op is _END:
-        return ("end",)
-    return ("op", type(op).__name__, list(op))
+def _reference(name: str) -> Any:
+    """Stand-in the payload calls for a referenced object; a restore's
+    unpickler swaps in the target's object instead (``find_class``)."""
+    raise CheckpointError(f"{name!r} is resolved only by a restore")
 
 
-def _capture_tracer(system: "DashSystem") -> Optional[Dict[str, Any]]:
-    """Snapshot the tracer, excluding checkpoint instrumentation.
+class _Pickler(pickle.Pickler):
+    def __init__(self, file: io.BytesIO, system: "DashSystem") -> None:
+        super().__init__(file, protocol=_PICKLE_PROTOCOL)
+        self._names = {id(obj): name for name, obj in _references(system).items()}
+
+    def reducer_override(self, obj: Any) -> Any:
+        # Consulted only for instances of non-builtin classes (a
+        # persistent_id hook would run for every int and str as well,
+        # and triples capture time).
+        name = self._names.get(id(obj))
+        if name is None:
+            return NotImplemented
+        return _reference, (name,)
+
+
+class _Unpickler(pickle.Unpickler):
+    def __init__(self, file: io.BytesIO, system: "DashSystem") -> None:
+        super().__init__(file)
+        self._refs = _references(system)
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == "_reference":
+            return self._refs.__getitem__
+        return super().find_class(module, name)
+
+
+def _tracer_state(obs: Any) -> Optional[Dict[str, Any]]:
+    """The tracer's contents, excluding checkpoint instrumentation.
 
     ``ckpt.*`` events and ``ckpt_*`` metrics record *harness* activity
     (how many times this process saved/restored), not simulation state;
     excluding them keeps a checkpoint's payload independent of how many
     checkpoints preceded it.
     """
-    obs = system.obs
     if not obs.enabled:
         return None
-    events = [
-        (e.name, e.ts, e.kind, e.dur, e.comp, e.tid,
-         dict(e.args) if e.args else None)
-        for e in obs
-        if not e.name.startswith("ckpt.")
-    ]
     ckpt_emitted = sum(
         n for name, n in obs.counts.items() if name.startswith("ckpt.")
     )
     metrics = obs.metrics
     return {
         "capacity": obs.capacity,
+        "buf": [e for e in obs if not e.name.startswith("ckpt.")],
         "emitted": obs.emitted - ckpt_emitted,
         "counts": {
             name: n for name, n in obs.counts.items()
@@ -316,329 +189,92 @@ def _capture_tracer(system: "DashSystem") -> Optional[Dict[str, Any]]:
         "comp_counts": {
             comp: n for comp, n in obs.comp_counts.items() if comp != "ckpt"
         },
-        "buf": events,
-        "metrics": {
-            "counters": {
-                name: c.value for name, c in metrics.counters.items()
-                if not name.startswith("ckpt_")
-            },
-            "gauges": {name: g.value for name, g in metrics.gauges.items()},
-            "histograms": {
-                name: (dict(h.buckets), h.count, h.total)
-                for name, h in metrics.histograms.items()
-            },
+        "counters": {
+            name: c for name, c in metrics.counters.items()
+            if not name.startswith("ckpt_")
         },
+        "gauges": metrics.gauges,
+        "histograms": metrics.histograms,
     }
 
 
-def capture_state(system: "DashSystem") -> Dict[str, Any]:
-    """Encode the complete live machine as a plain-data state tree."""
-    if system.trace_hook is not None:
-        raise CheckpointError(
-            "cannot checkpoint a run with an attached trace hook "
-            "(interleaving recorders are not serializable)"
-        )
-    enc = _Encoder(system)
-    events = system.events
-    heap = [
-        (time, seq, enc.encode_callback(cb), enc.encode_args(args))
-        for time, seq, cb, args in events._heap
-    ]
-    dirs = []
-    for ctrl in system.directories:
-        dirs.append(
-            {
-                "busy": sorted(ctrl._busy),
-                "pending": [
-                    (block, [enc.encode_txn(t) for t in queue])
-                    for block, queue in ctrl._pending.items()
-                ],
-                "ctrl_free": ctrl._ctrl_free,
-                "cancelled_wb": list(ctrl._cancelled_wb.items()),
-                "wb_inflight": list(ctrl._wb_inflight.items()),
-                "deferred_writes": sorted(ctrl._deferred_writes),
-                "store": ctrl.store.to_state(),
-            }
-        )
-    procs = []
-    for proc in system.processors:
-        procs.append(
-            {
-                "done": proc.done,
-                "outstanding_writes": proc._outstanding_writes,
-                "fence": _encode_fence(proc._fence),
-                "fence_start": proc._fence_start,
-                "pending_blocks": sorted(proc._pending_blocks),
-                "t0": proc._t0,
-                "addr": proc._addr,
-                "is_write": proc._is_write,
-                "sync_t0": proc._sync_t0,
-                "ops_consumed": proc.ops_consumed,
-            }
-        )
-    sync = system.sync
-    sync_state = {
-        "locks": [
-            (
-                lock_id,
-                st.held,
-                st.holder,
-                [(p, enc.encode_callback(r)) for p, r in st.waiters],
-            )
-            for lock_id, st in sync._locks.items()
-        ],
-        "barriers": [
-            (
-                bar_id,
-                st.arrived,
-                [(p, enc.encode_callback(r)) for p, r in st.waiters],
-            )
-            for bar_id, st in sync._barriers.items()
-        ],
-    }
-    plan = system.fault_plan
-    faults = None
-    if plan is not None:
-        faults = {
-            "params": {name: getattr(plan, name) for name in _FAULT_PARAMS},
-            "rng": plan.rng.getstate(),
-            "injected": plan.injected,
-        }
-    checker = system.invariants
-    invariants = None
-    if checker is not None:
-        invariants = {
-            "mode": checker.mode,
-            "outstanding": [
-                (enc.encode_txn(txn), t0)
-                for txn, t0 in checker._outstanding.values()
-            ],
-            "finished": checker._finished,
-            "inval_rounds": checker.inval_rounds,
-            "checks_run": checker.checks_run,
-            "violations": [
-                (v.invariant,
-                 str(v)[len(f"[{v.invariant}] "):],
-                 v.block)
-                for v in checker.violations
-            ],
-        }
-    return {
-        "events": {
-            "now": events.now,
-            "seq": events._seq,
-            "events_run": events.events_run,
-            "heap": heap,
-        },
-        "system": {
-            "finished": system._finished,
-            "txn_seq": system._txn_seq,
-        },
-        "procs": procs,
-        "caches": [
-            [cache.to_state() for cache in cluster.caches]
-            for cluster in system.clusters
-        ],
-        "dirs": dirs,
-        "scheme": system.scheme.to_state(),
-        "stats": system.stats.to_state(),
-        "sync": sync_state,
-        "faults": faults,
-        "invariants": invariants,
-        "txns": enc.txns,
-        "obs": _capture_tracer(system),
-    }
-
-
-# ---------------------------------------------------------------------------
-# decoding: state tree -> live machine
-
-
-class _Decoder:
-    """Resolves descriptors back to components of one fresh system."""
-
-    def __init__(self, system: "DashSystem") -> None:
-        self.system = system
-        self.txn_objs: List[Transaction] = []
-
-    def component(self, path: Any) -> object:
-        kind = path[0]
-        if kind == "system":
-            return self.system
-        if kind == "proc":
-            return self.system.processors[path[1]]
-        if kind == "dir":
-            return self.system.directories[path[1]]
-        if kind == "sync":
-            return self.system.sync
-        raise CheckpointError(f"unknown component path {path!r}")
-
-    def decode_callback(self, enc: Any) -> Callable[..., Any]:
-        tag = enc[0]
-        if tag == "@partial":
-            _, path, name, args = enc
-            method = self._resolve(path, name)
-            return partial(method, *self.decode_args(args))
-        if tag == "@cb":
-            _, path, name = enc
-            return self._resolve(path, name)
-        raise CheckpointError(f"malformed continuation descriptor {enc!r}")
-
-    def _resolve(self, path: Any, name: str) -> Callable[..., Any]:
-        owner = self.component(tuple(path))
-        if (type(owner).__name__, name) not in CONTINUATIONS:
-            raise CheckpointError(
-                f"checkpoint names unregistered continuation "
-                f"{type(owner).__name__}.{name}"
-            )
-        return getattr(owner, name)
-
-    def decode_value(self, value: Any) -> Any:
-        if isinstance(value, tuple) or isinstance(value, list):
-            tag = value[0]
-            if tag == "@txn":
-                return self.txn_objs[value[1]]
-            if tag == "@tuple":
-                return tuple(self.decode_value(v) for v in value[1])
-            if tag == "@list":
-                return [self.decode_value(v) for v in value[1]]
-            if tag in ("@cb", "@partial"):
-                return self.decode_callback(value)
-            raise CheckpointError(f"malformed encoded value {value!r}")
-        return value
-
-    def decode_args(self, args: List[Any]) -> Tuple[Any, ...]:
-        return tuple(self.decode_value(a) for a in args)
-
-    def decode_txns(self, states: List[Dict[str, Any]]) -> List[Transaction]:
-        # Two phases: materialize every object first, then decode the
-        # nested continuations (which may only reference components, but
-        # keeping the phases separate makes that a non-assumption).
-        objs = []
-        for st in states:
-            txn = Transaction(
-                st["kind"],
-                st["block"],
-                st["requester"],
-                st["proc_idx"],
-                None,
-                still_shared=st["still_shared"],
-                txn_id=st["txn_id"],
-            )
-            txn.attempts = st["attempts"]
-            txn.delivered = st["delivered"]
-            txn.t_arrive = st["t_arrive"]
-            txn.t_start = st["t_start"]
-            txn.phases = (
-                dict(st["phases"]) if st["phases"] is not None else None
-            )
-            txn.t_issue = st["t_issue"]
-            objs.append(txn)
-        self.txn_objs = objs
-        for txn, st in zip(objs, states):
-            if st["on_complete"] is not None:
-                txn.on_complete = self.decode_callback(st["on_complete"])
-            if st["resume"] is not None:
-                txn.resume = self.decode_callback(st["resume"])
-        return objs
-
-
-def _decode_fence(enc: Any) -> Any:
-    if enc is None:
-        return None
-    tag = enc[0]
-    if tag == "end":
-        return _END
-    if tag == "op":
-        _, name, fields = enc
-        cls = _TRACE_OPS.get(name)
-        if cls is None:
-            raise CheckpointError(f"unknown trace op {name!r} in fence slot")
-        return cls(*fields)
-    raise CheckpointError(f"malformed fence state {enc!r}")
-
-
-def _restore_stats_in_place(stats: SimStats, state: Dict[str, Any]) -> None:
-    """Apply a stats snapshot without replacing any bound-in objects.
-
-    Directory controllers bind ``machine.stats`` and its ``messages``
-    counter at construction, and processors bind their ``ProcessorStats``
-    rows, so the restore must mutate those objects, never rebind them.
-    """
-    fresh = SimStats.from_state(state)  # validates the snapshot shape
-    if len(fresh.procs) != len(stats.procs):
-        raise CheckpointError(
-            f"stats snapshot has {len(fresh.procs)} processors, "
-            f"machine has {len(stats.procs)}"
-        )
-    stats.messages.clear()
-    stats.messages.update(fresh.messages)
-    for cause in InvalCause:
-        hist = stats.inval_hist[cause]
-        hist.clear()
-        hist.update(fresh.inval_hist[cause])
-    stats.fault_counts.clear()
-    stats.fault_counts.update(fresh.fault_counts)
-    for proc, fresh_proc in zip(stats.procs, fresh.procs):
-        for field_name, value in vars(fresh_proc).items():
-            setattr(proc, field_name, value)
-    for name in SimStats._SCALAR_FIELDS:
-        setattr(stats, name, getattr(fresh, name))
-
-
-def _restore_tracer(system: "DashSystem", state: Optional[Dict[str, Any]]) -> None:
-    obs = system.obs
+def _check_tracer(obs: Any, state: Optional[Dict[str, Any]]) -> None:
     if state is None:
         if obs.enabled:
             raise CheckpointError(
                 "checkpoint was written without tracing but this machine "
                 "has a tracer attached; restore with tracing disabled"
             )
-        return
-    if not obs.enabled:
+    elif not obs.enabled:
         raise CheckpointError(
             "checkpoint was written with tracing enabled but this machine "
             "has no tracer; attach one with the same capacity"
         )
-    if obs.capacity != state["capacity"]:
+    elif obs.capacity != state["capacity"]:
         raise CheckpointError(
             f"tracer capacity mismatch: checkpoint has {state['capacity']}, "
             f"machine has {obs.capacity}"
         )
+
+
+def _restore_tracer(obs: Any, state: Dict[str, Any]) -> None:
     obs._buf.clear()
-    for name, ts, kind, dur, comp, tid, args in state["buf"]:
-        obs._buf.append(
-            TraceEvent(name, ts, kind=kind, dur=dur, comp=comp, tid=tid,
-                       args=args)
-        )
+    obs._buf.extend(state["buf"])
     obs.emitted = state["emitted"]
-    obs.counts.clear()
-    obs.counts.update(state["counts"])
-    obs.comp_counts.clear()
-    obs.comp_counts.update(state["comp_counts"])
-    metrics = obs.metrics
-    saved = state["metrics"]
-    metrics.counters.clear()
-    for name, value in saved["counters"].items():
-        metrics.counter(name).value = value
-    metrics.gauges.clear()
-    for name, value in saved["gauges"].items():
-        metrics.gauge(name).value = value
-    metrics.histograms.clear()
-    for name, (buckets, count, total) in saved["histograms"].items():
-        hist = metrics.histogram(name)
-        hist.buckets = dict(buckets)
-        hist.count = count
-        hist.total = total
+    for owner, names in (
+        (obs, ("counts", "comp_counts")),
+        (obs.metrics, ("counters", "gauges", "histograms")),
+    ):
+        for name in names:
+            table = getattr(owner, name)
+            table.clear()
+            table.update(state[name])
 
 
-def restore_state(system: "DashSystem", state: Dict[str, Any]) -> None:
-    """Rebuild a captured machine onto a freshly constructed system.
+def _pickle(system: "DashSystem", state: Dict[str, Any]) -> bytes:
+    buf = io.BytesIO()
+    _Pickler(buf, system).dump(state)
+    return buf.getvalue()
 
-    The target must be a just-built :class:`DashSystem` (same config,
-    workload, scheme, fault plan, invariant mode, and tracing setup as
-    the checkpointing run) whose :meth:`run` has not been called.
+
+def _unpickle(system: "DashSystem", payload: bytes) -> Dict[str, Any]:
+    state: Dict[str, Any] = _Unpickler(io.BytesIO(payload), system).load()
+    return state
+
+
+def _dumps(system: "DashSystem") -> bytes:
+    """Pickle the live machine (plus tracer contents) against ``system``.
+
+    The first pickle is loaded and pickled again: the live graph shares
+    some equal strings that a loaded graph cannot (unpickling interns
+    attribute names but not attribute values), so only a loaded graph's
+    bytes are a fixed point of restore + re-capture.  The system's
+    attributes travel as a namespace, not a dict, for the same reason:
+    loading interns their names, as the restore target's already are.
     """
+    if system.trace_hook is not None:
+        raise CheckpointError(
+            "cannot checkpoint a run with an attached trace hook "
+            "(interleaving recorders are not serializable)"
+        )
+    state = {
+        "machine": SimpleNamespace(**vars(system)),
+        "obs": _tracer_state(system.obs),
+    }
+    try:
+        first = _pickle(system, state)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise UnregisteredContinuationError(
+            f"cannot checkpoint: the machine state does not pickle ({exc}); "
+            f"the machine layer must schedule bound methods, never lambdas "
+            f"or closures (see the unpicklable-continuation lint rule)"
+        ) from exc
+    return _pickle(system, _unpickle(system, first))
+
+
+def _restore(system: "DashSystem", payload: bytes) -> None:
+    """Fill a freshly built system from a payload; on failure the target
+    is left untouched."""
     if system.events.events_run or system.events._heap or system.processors:
         raise CheckpointError(
             "restore target must be a freshly constructed DashSystem "
@@ -648,162 +284,25 @@ def restore_state(system: "DashSystem", state: Dict[str, Any]) -> None:
         raise CheckpointError(
             "cannot restore into a system with an attached trace hook"
         )
-
-    # Statistics first (in place: controllers bound the objects).
-    _restore_stats_in_place(system.stats, state["stats"])
-
-    # Caches.
-    saved_caches = state["caches"]
-    if len(saved_caches) != len(system.clusters):
-        raise CheckpointError("cluster count mismatch in checkpoint")
-    for cluster, cache_states in zip(system.clusters, saved_caches):
-        if len(cache_states) != len(cluster.caches):
-            raise CheckpointError("cache count mismatch in checkpoint")
-        for cache, cache_state in zip(cluster.caches, cache_states):
-            cache.load_state(cache_state)
-
-    # Directory stores, then the shared scheme (the scheme snapshot must
-    # win over any transient effects of entry restoration — overflow-
-    # cache key counters and wide-store LRU order are exact).
-    dirs_state = state["dirs"]
-    if len(dirs_state) != len(system.directories):
-        raise CheckpointError("directory count mismatch in checkpoint")
-    for ctrl, dstate in zip(system.directories, dirs_state):
-        ctrl.store.load_state(dstate["store"])
-        ctrl._busy = set(dstate["busy"])
-        ctrl._ctrl_free = dstate["ctrl_free"]
-        ctrl._cancelled_wb = {
-            tuple(k): v for k, v in dstate["cancelled_wb"]
-        }
-        ctrl._wb_inflight = {
-            tuple(k): v for k, v in dstate["wb_inflight"]
-        }
-        ctrl._deferred_writes = set(dstate["deferred_writes"])
-    system.scheme.load_state(state["scheme"])
-
-    # Processors: fresh streams fast-forwarded to the saved cursor (the
-    # Workload contract guarantees stream(p) replays identically).
-    procs_state = state["procs"]
-    if len(procs_state) != system.config.num_processors:
-        raise CheckpointError("processor count mismatch in checkpoint")
-    processors = []
-    for proc_id, pstate in enumerate(procs_state):
-        stream = system.workload.stream(proc_id)
-        consumed = pstate["ops_consumed"]
+    try:
+        state = _unpickle(system, payload)
+    except Exception as exc:  # pickle raises a zoo of types
+        raise CheckpointIntegrityError(
+            f"checkpoint payload does not unpickle: {exc!r}"
+        ) from exc
+    _check_tracer(system.obs, state["obs"])
+    machine = vars(state["machine"])
+    # fresh streams fast-forwarded to the saved cursors (the Workload
+    # contract guarantees stream(p) replays identically)
+    for proc in machine["processors"]:
+        stream = system.workload.stream(proc.proc_id)
+        consumed = proc.ops_consumed
         if consumed:
             next(islice(stream, consumed - 1, consumed), None)
-        proc = Processor(system, proc_id, stream)
-        proc.done = pstate["done"]
-        proc._outstanding_writes = pstate["outstanding_writes"]
-        proc._fence = _decode_fence(pstate["fence"])
-        proc._fence_start = pstate["fence_start"]
-        proc._pending_blocks = {b: True for b in pstate["pending_blocks"]}
-        proc._t0 = pstate["t0"]
-        proc._addr = pstate["addr"]
-        proc._is_write = pstate["is_write"]
-        proc._sync_t0 = pstate["sync_t0"]
-        proc.ops_consumed = consumed
-        processors.append(proc)
-    system.processors = processors
-
-    dec = _Decoder(system)
-    txn_objs = dec.decode_txns(state["txns"])
-
-    # Event queue: the saved heap list is a valid heap (seq is unique,
-    # so tuple comparison never reaches the callbacks) — restore as is.
-    ev_state = state["events"]
-    events = system.events
-    events._heap = [
-        (time, seq, dec.decode_callback(cb), dec.decode_args(args))
-        for time, seq, cb, args in ev_state["heap"]
-    ]
-    events._seq = ev_state["seq"]
-    events.now = ev_state["now"]
-    events.events_run = ev_state["events_run"]
-
-    # Pending queues (transactions parked behind busy blocks).
-    for ctrl, dstate in zip(system.directories, dirs_state):
-        ctrl._pending = {
-            block: deque(txn_objs[s] for s in serials)
-            for block, serials in dstate["pending"]
-        }
-
-    # Synchronization waiters.
-    sync_state = state["sync"]
-    system.sync._locks = {
-        lock_id: _LockState(
-            held=held,
-            holder=holder,
-            waiters=deque(
-                (p, dec.decode_callback(r)) for p, r in waiters
-            ),
-        )
-        for lock_id, held, holder, waiters in sync_state["locks"]
-    }
-    system.sync._barriers = {
-        bar_id: _BarrierState(
-            arrived=arrived,
-            waiters=[(p, dec.decode_callback(r)) for p, r in waiters],
-        )
-        for bar_id, arrived, waiters in sync_state["barriers"]
-    }
-
-    # Fault plan (RNG stream position and budget).
-    saved_faults = state["faults"]
-    plan = system.fault_plan
-    if (saved_faults is None) != (plan is None):
-        raise CheckpointError(
-            "fault-injection mismatch: checkpoint "
-            + ("has" if saved_faults is not None else "has no")
-            + " fault plan but the restore target "
-            + ("does not" if plan is None else "does")
-        )
-    if saved_faults is not None and plan is not None:
-        for name in _FAULT_PARAMS:
-            if getattr(plan, name) != saved_faults["params"][name]:
-                raise CheckpointError(
-                    f"fault plan parameter {name} differs: checkpoint has "
-                    f"{saved_faults['params'][name]!r}, restore target has "
-                    f"{getattr(plan, name)!r}"
-                )
-        plan.rng.setstate(saved_faults["rng"])
-        plan.injected = saved_faults["injected"]
-
-    # Invariant checker.
-    saved_inv = state["invariants"]
-    checker = system.invariants
-    if (saved_inv is None) != (checker is None):
-        raise CheckpointError(
-            "invariant-checker mismatch: build the restore target with "
-            "the same `invariants` mode as the checkpointing run"
-        )
-    if saved_inv is not None and checker is not None:
-        if checker.mode != saved_inv["mode"]:
-            raise CheckpointError(
-                f"invariant mode differs: checkpoint has "
-                f"{saved_inv['mode']!r}, restore target has "
-                f"{checker.mode!r}"
-            )
-        checker._outstanding = {
-            id(txn_objs[s]): (txn_objs[s], t0)
-            for s, t0 in saved_inv["outstanding"]
-        }
-        checker._finished = saved_inv["finished"]
-        checker.inval_rounds = saved_inv["inval_rounds"]
-        checker.checks_run = saved_inv["checks_run"]
-        checker.violations = [
-            CoherenceViolation(inv, msg, block=block)
-            for inv, msg, block in saved_inv["violations"]
-        ]
-
-    # Observability (buffers, tallies, metric instruments).
-    _restore_tracer(system, state["obs"])
-
-    # Run-loop bookkeeping; flag run() to continue rather than restart.
-    sys_state = state["system"]
-    system._finished = sys_state["finished"]
-    system._txn_seq = sys_state["txn_seq"]
-    system._restored = True
+        proc._stream = stream
+    vars(system).update(machine)
+    if state["obs"] is not None:
+        _restore_tracer(system.obs, state["obs"])
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +312,8 @@ def restore_state(system: "DashSystem", state: Dict[str, Any]) -> None:
 class SimCheckpoint:
     """One captured machine state plus its self-describing header."""
 
-    def __init__(
-        self,
-        header: Dict[str, Any],
-        state: Dict[str, Any],
-        payload: Optional[bytes] = None,
-    ) -> None:
+    def __init__(self, header: Dict[str, Any], payload: bytes) -> None:
         self.header = header
-        self.state = state
         self._payload = payload
 
     # -- capture -----------------------------------------------------------
@@ -830,8 +323,7 @@ class SimCheckpoint:
         cls, system: "DashSystem", *, meta: Optional[Dict[str, Any]] = None
     ) -> "SimCheckpoint":
         """Snapshot a live system (does not emit any instrumentation)."""
-        state = capture_state(system)
-        payload = pickle.dumps(state, protocol=_PICKLE_PROTOCOL)
+        payload = _dumps(system)
         header = {
             "magic": MAGIC,
             "schema": CKPT_SCHEMA,
@@ -848,16 +340,12 @@ class SimCheckpoint:
             "payload_sha256": _sha256(payload),
             "meta": dict(meta) if meta else {},
         }
-        return cls(header, state, payload)
+        return cls(header, payload)
 
     # -- persistence -------------------------------------------------------
 
     def payload(self) -> bytes:
-        """The pickled state blob (memoized; what the header digests)."""
-        if self._payload is None:
-            self._payload = pickle.dumps(
-                self.state, protocol=_PICKLE_PROTOCOL
-            )
+        """The pickled state blob (what the header digests)."""
         return self._payload
 
     def save(self, path: str) -> int:
@@ -868,7 +356,7 @@ class SimCheckpoint:
         result cache's orphan sweep garbage-collects if a worker dies
         between write and rename.
         """
-        payload = self.payload()
+        payload = self._payload
         header_line = (
             json.dumps(self.header, sort_keys=True, separators=(",", ":"))
             + "\n"
@@ -908,7 +396,7 @@ class SimCheckpoint:
                 f"{diff}; a checkpoint only continues the exact "
                 f"configuration that wrote it"
             )
-        restore_state(system, self.state)
+        _restore(system, self._payload)
 
 
 def read_header(path: str) -> Dict[str, Any]:
@@ -938,9 +426,10 @@ def load_checkpoint(path: str) -> SimCheckpoint:
 
     Raises :class:`CheckpointIntegrityError` on torn or corrupted files
     (length or SHA-256 mismatch) and :class:`CheckpointSchemaError` on
-    unreadable schema versions.  The code-fingerprint gate fires at
-    :meth:`SimCheckpoint.restore_into`, so headers of foreign builds can
-    still be inspected.
+    unreadable schema versions.  The payload is unpickled only by
+    :meth:`SimCheckpoint.restore_into` (it names objects of the restore
+    target), after the code-fingerprint gate, so headers of foreign
+    builds can still be inspected.
     """
     header = read_header(path)
     with open(path, "rb") as fh:
@@ -956,13 +445,7 @@ def load_checkpoint(path: str) -> SimCheckpoint:
         raise CheckpointIntegrityError(
             f"{path}: corrupted checkpoint (payload SHA-256 mismatch)"
         )
-    try:
-        state = pickle.loads(payload)
-    except Exception as exc:  # pickle raises a zoo of types
-        raise CheckpointIntegrityError(
-            f"{path}: checkpoint payload does not unpickle: {exc}"
-        ) from exc
-    return SimCheckpoint(header, state, payload)
+    return SimCheckpoint(header, payload)
 
 
 def verify_checkpoint(path: str) -> Dict[str, Any]:

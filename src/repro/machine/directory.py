@@ -206,6 +206,15 @@ class DirectoryController:
         #: transaction is in flight (see _execute_write's tie-break)
         self._deferred_writes: Set[int] = set()
 
+    def __getstate__(self) -> Dict[str, object]:
+        # Checkpoint bytes must be canonical, but a set pickles in an
+        # order that depends on its insertion history; a copy rebuilt in
+        # sorted order iterates in an order fixed by its contents.
+        state = dict(vars(self))
+        state["_busy"] = set(sorted(self._busy))
+        state["_deferred_writes"] = set(sorted(self._deferred_writes))
+        return state
+
     # -- submission (requester side) ----------------------------------------
 
     def submit(self, txn: Transaction) -> None:

@@ -196,9 +196,10 @@ class InvariantChecker:
             if watchdog_cycles is None
             else watchdog_cycles
         )
-        #: id(txn) -> (txn, first submit time); the txn reference keeps the
-        #: object alive so ids cannot be recycled while outstanding
-        self._outstanding: Dict[int, Tuple["Transaction", float]] = {}
+        #: txn -> first submit time.  Keyed by the object itself
+        #: (Transaction hashes by identity), not by id(): ids change when
+        #: a checkpoint is restored
+        self._outstanding: Dict["Transaction", float] = {}
         self._finished = 0
         self.inval_rounds = 0
         self.checks_run = 0
@@ -216,17 +217,16 @@ class InvariantChecker:
 
     def on_submit(self, txn: "Transaction", now: float) -> None:
         """First submission of a transaction (retries keep the entry)."""
-        self._outstanding.setdefault(id(txn), (txn, now))
+        self._outstanding.setdefault(txn, now)
 
     def on_abandon(self, txn: "Transaction") -> None:
         """A best-effort request (replacement hint) was dropped for good."""
-        self._outstanding.pop(id(txn), None)
+        self._outstanding.pop(txn, None)
 
     def on_finish(self, txn: "Transaction", now: float) -> None:
         """A transaction's last effect landed; watchdog + periodic scan."""
-        entry = self._outstanding.pop(id(txn), None)
-        if entry is not None:
-            _, t0 = entry
+        t0 = self._outstanding.pop(txn, None)
+        if t0 is not None:
             # each retry doubles the allowance, mirroring the fault
             # layer's exponential backoff
             horizon = self.watchdog_cycles * (2.0 ** txn.attempts)
@@ -290,7 +290,7 @@ class InvariantChecker:
 
     def finalize(self, now: float) -> None:
         """End-of-run audit: nothing outstanding, state fully coherent."""
-        for txn, t0 in self._outstanding.values():
+        for txn, t0 in self._outstanding.items():
             self._report(
                 CoherenceViolation(
                     "lost-transaction",

@@ -22,8 +22,9 @@ construction — this loop dominates simulation wall time.
 
 Checkpointability: every continuation a processor hands out is a bound
 method (or a ``functools.partial`` over one carrying the block number),
-never a closure, and ``ops_consumed`` counts how far the trace stream
-has advanced so a restored processor can fast-forward a fresh stream to
+never a closure, so it pickles.  The trace stream (a generator) does
+not: a processor pickles without it, and ``ops_consumed`` counts how far
+the stream has advanced so a restore can fast-forward a fresh stream to
 the same cursor (workload streams are restartable and oblivious by the
 :class:`~repro.trace.workload.Workload` contract).
 """
@@ -31,7 +32,7 @@ the same cursor (workload streams are restartable and oblivious by the
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 from repro.machine.stats import ProcessorStats
 from repro.trace.event import Barrier, Lock, Read, TraceOp, Unlock, Work, Write
@@ -92,6 +93,14 @@ class Processor:
         # machine.trace_hook, so both hooks can be bound once here.
         self._obs = machine.obs
         self._trace_hook = machine.trace_hook
+
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # everything but the stream (see the module docstring)
+        return None, {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_stream"
+        }
 
     def start(self) -> None:
         """Schedule this processor's first op at the current time."""
@@ -226,6 +235,10 @@ class Processor:
 
 class _EndSentinel:
     """Marks 'end of stream' inside a pending fence slot."""
+
+    def __reduce__(self) -> str:
+        # unpickles as the module's singleton, so `is _END` still holds
+        return "_END"
 
 
 _END = _EndSentinel()

@@ -15,10 +15,10 @@ last arrival triggers release replies to every participant.
 
 Every continuation scheduled here is a *bound method* (or a processor's
 bound resume) with its context passed positionally — never a closure —
-so an in-flight machine can be checkpointed: the event queue serializes
-``(component, method, args)`` descriptors, which closures cannot provide
-(see :mod:`repro.machine.checkpoint` and the ``unpicklable-continuation``
-lint rule).
+so an in-flight machine can be checkpointed: pickle saves a bound
+method as its owner plus the method name, which a closure cannot
+provide (see :mod:`repro.machine.checkpoint` and the
+``unpicklable-continuation`` lint rule).
 """
 
 from __future__ import annotations

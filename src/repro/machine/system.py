@@ -123,9 +123,6 @@ class DashSystem:
         #: optional callable(proc_id, op, time) observing every op as it
         #: is issued — used by trace.recorder.InterleavingRecorder
         self.trace_hook = None
-        #: set by a checkpoint restore: run() continues the restored
-        #: event queue instead of (re)starting the processors
-        self._restored = False
 
     # -- construction helpers ---------------------------------------------
 
@@ -353,12 +350,11 @@ class DashSystem:
         supersede any snapshot).  ``on_checkpoint(ckpt)`` fires after
         each periodic snapshot is on disk — the chaos harness uses it
         to kill the process at a moment a resumable checkpoint is
-        guaranteed to exist.  After a :meth:`restore`, ``run``
-        continues the restored queue instead of restarting.
+        guaranteed to exist.  Once processors exist (after a
+        :meth:`restore`, or a ``max_events``-capped run), ``run``
+        continues the event queue instead of restarting.
         """
-        if self._restored:
-            self._restored = False
-        else:
+        if not self.processors:
             self.processors = [
                 Processor(self, p, self.workload.stream(p))
                 for p in range(self.config.num_processors)

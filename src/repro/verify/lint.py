@@ -59,11 +59,11 @@ Rules (see ``docs/verification.md`` for the full rationale):
     Callbacks scheduled into the event queue (``events.at(...)`` /
     ``events.after(...)``) under ``machine/`` must be bound methods of
     machine components, not lambdas, closures, or nested functions —
-    the checkpoint serializer (``machine/checkpoint.py``) encodes heap
-    continuations as ``(component, method)`` descriptors, and an
-    anonymous callable would make the machine state unsnapshottable
-    (the encoder raises ``UnregisteredContinuationError`` at capture
-    time; this rule catches it at review time).
+    checkpoints (``machine/checkpoint.py``) pickle the event heap, and
+    pickle saves a bound method as its owner plus the method name but
+    cannot save an anonymous callable.  Pickle only fails when a
+    snapshot is taken (raising ``UnregisteredContinuationError``); this
+    rule catches it at review time.
 ``span-leak``
     A split span opened in ``machine/`` (``.emit(..., kind=BEGIN)``)
     must have a matching close (``kind=END`` with the same literal event
@@ -759,7 +759,7 @@ def _check_span_leak(module: _Module) -> Iterator[Finding]:
 
 # -- rule: unpicklable-continuation ------------------------------------------
 
-#: event-queue scheduling methods whose callback argument is serialized
+#: event-queue scheduling methods whose callback argument is pickled
 #: into checkpoints
 _SCHEDULE_METHODS = frozenset({"at", "after"})
 
@@ -808,12 +808,11 @@ def _nested_function_names(tree: ast.Module) -> Set[str]:
 def _check_unpicklable_continuation(module: _Module) -> Iterator[Finding]:
     """Lambdas/closures scheduled into the event queue in ``machine/``.
 
-    The checkpoint serializer can only encode bound methods of machine
-    components (see ``CONTINUATIONS`` in ``machine/checkpoint.py``); an
-    anonymous callable on the heap makes the whole machine state
-    unsnapshottable.  ``functools.partial`` over a bound method is fine
-    — the encoder unwraps it — so only the partial's *inner* callable
-    is inspected when one appears literally.
+    Checkpoints pickle the event heap, which pickles bound methods of
+    machine components by owner and name; an anonymous callable on the
+    heap makes the whole machine state unpicklable.
+    ``functools.partial`` over a bound method pickles too, so only the
+    partial's *inner* callable is inspected when one appears literally.
     """
     if "machine" not in Path(module.rel).parts:
         return
@@ -851,8 +850,8 @@ def _check_unpicklable_continuation(module: _Module) -> Iterator[Finding]:
             node.col_offset,
             "unpicklable-continuation",
             f"{kind} scheduled into the event queue cannot be "
-            f"checkpointed; use a bound method of a machine component "
-            f"(registered in machine/checkpoint.py CONTINUATIONS)",
+            f"checkpointed (pickle cannot save it); use a bound method "
+            f"of a machine component",
         )
 
 

@@ -7,13 +7,13 @@ every directory-scheme family.  Alongside the end-to-end guarantees,
 this file holds the integrity gates (torn files, corruption, schema and
 config mismatches), the zero-cost and instrumentation-exclusion checks,
 the supervised-sweep mid-run resume path, and the hypothesis property
-that every scheme's directory-entry state round-trips through
-``to_state``/``entry_from_state`` — including overflow-cache eviction
-order and linked-list chain order.
+that every scheme's directory entry round-trips through pickle —
+including overflow-cache eviction order and linked-list chain order.
 """
 
 import json
 import os
+import pickle
 import signal
 
 import pytest
@@ -29,7 +29,7 @@ from repro.analysis.supervisor import (
     fork_context,
 )
 from repro.analysis.sweeps import Sweep
-from repro.apps import MP3DWorkload
+from repro.apps import MP3DWorkload, UniformRandomWorkload
 from repro.core import (
     CoarseVectorScheme,
     FullBitVectorScheme,
@@ -40,6 +40,7 @@ from repro.core import (
     SupersetScheme,
 )
 from repro.machine import DashSystem, MachineConfig
+from repro.machine.cache import ProcessorCache
 from repro.machine.checkpoint import (
     CKPT_SCHEMA,
     CheckpointError,
@@ -51,6 +52,7 @@ from repro.machine.checkpoint import (
     read_header,
     verify_checkpoint,
 )
+from repro.machine.processor import _END
 from repro.obs.tracer import Tracer
 
 P = 8
@@ -148,7 +150,8 @@ SPLIT_VARIANTS = {
 )
 def test_split_run_variants_are_byte_identical(overrides, kwargs, cut):
     """Split runs stay exact with fault injection, strict invariants,
-    release consistency and pooled entries, at early and late cuts."""
+    release consistency and pooled entries, at early and late cuts; the
+    restored machine re-captures to the identical payload."""
     config = _config(**overrides)
     key = json.dumps([config.cache_key_fields(), kwargs], sort_keys=True)
     if key not in _baselines:
@@ -161,7 +164,29 @@ def test_split_run_variants_are_byte_identical(overrides, kwargs, cut):
     ckpt = first.checkpoint()
     second = DashSystem(config, _workload(), **kwargs)
     second.restore(ckpt)
+    assert second.checkpoint().payload() == ckpt.payload()
     assert _stats_json(second.run()) == _baselines[key]
+
+
+def test_split_run_at_end_of_stream_fence():
+    """Cut while a release-consistency processor holds its end of stream
+    behind outstanding writes: the restored fence slot still holds the
+    end-of-stream marker itself, not a copy of it."""
+    config = _config(scheme="Dir3B", release_consistency=True)
+
+    def workload():
+        return UniformRandomWorkload(P, refs_per_proc=60, write_fraction=0.5)
+
+    plain = _stats_json(DashSystem(config, workload()).run())
+    first = DashSystem(config, workload())
+    first.run(max_events=1)
+    while first.events and not any(p._fence is _END for p in first.processors):
+        first.events.run(max_events=1)
+    assert first.events, "no processor ever fenced its end of stream"
+
+    second = DashSystem(config, workload())
+    second.restore(first.checkpoint())
+    assert _stats_json(second.run()) == plain
 
 
 def test_traced_split_run_matches_plain_traced_run():
@@ -310,6 +335,21 @@ def test_captured_snapshot_excludes_ckpt_instrumentation(tmp_path):
     second = DashSystem(config, _workload())
     second.restore(a)
     assert second.checkpoint().payload() == a.payload()
+
+
+def test_cache_sets_pickle_in_canonical_order():
+    """A set iterates in an order that depends on its insertion history,
+    which a restore does not replay; a cache pickles its writeback
+    buffer in an order fixed by the contents, so a round trip pickles
+    back to the same bytes."""
+    cache = ProcessorCache(16, 256, 1, 1024, 1)
+    cache.wb_buffer.update(range(40))
+    for block in range(40):
+        if block not in (3, 9):
+            cache.wb_buffer.discard(block)
+    clone = pickle.loads(pickle.dumps(cache))
+    assert clone.wb_buffer == {3, 9}
+    assert pickle.dumps(clone) == pickle.dumps(cache)
 
 
 # -- integrity and compatibility gates -------------------------------------
@@ -508,26 +548,18 @@ def _apply(entry, true_sharers, history):
     builder_idx=st.integers(0, len(SCHEME_BUILDERS) - 1),
 )
 def test_entry_state_round_trips(history, extra, builder_idx):
-    """Every scheme's entry state survives to_state → entry_from_state:
-    the clone reports the same targets and exactness, and — the strong
-    form — *behaves identically* on further operations.  That covers
-    overflow-cache LRU eviction order, linked-list chain order, and the
-    NB victim RNG (scheme.to_state/load_state carry the shared state)."""
+    """Every scheme's entry survives a pickle round trip together with
+    its scheme: the clone reports the same targets and exactness, and —
+    the strong form — *behaves identically* on further operations.  That
+    covers overflow-cache LRU eviction order, linked-list chain order,
+    and the NB victim RNG (shared state that lives on the scheme)."""
     scheme = SCHEME_BUILDERS[builder_idx]()
     entry = scheme.make_entry()
     true_sharers = set()
     _apply(entry, true_sharers, history)
 
-    entry_state = entry.to_state()
-    scheme_state = scheme.to_state()
-
-    clone_scheme = SCHEME_BUILDERS[builder_idx]()
-    clone = clone_scheme.entry_from_state(entry_state)
-    # scheme state is applied after entries, as restore_state does: the
-    # overflow wide store then holds exactly the saved LRU order
-    clone_scheme.load_state(scheme_state)
-
-    assert clone.to_state() == entry_state
+    clone_scheme, clone = pickle.loads(pickle.dumps((scheme, entry)))
+    assert clone_scheme is not scheme
     assert clone.invalidation_targets() == entry.invalidation_targets()
     assert clone.is_exact() == entry.is_exact()
     assert clone.is_empty() == entry.is_empty()
@@ -550,5 +582,5 @@ def test_entry_state_round_trips(history, extra, builder_idx):
             if node in clone_sharers:
                 clone_sharers.discard(node)
                 clone.remove_sharer(node)
-    assert clone.to_state() == entry.to_state()
+    assert pickle.dumps((clone_scheme, clone)) == pickle.dumps((scheme, entry))
     assert clone.invalidation_targets() == entry.invalidation_targets()

@@ -28,13 +28,14 @@ from repro.analysis.supervisor import (
     ChaosError,
     ChaosPlan,
     PointTimeout,
+    SupervisedRunner,
     SupervisorPolicy,
     SweepInterrupted,
     SweepManifest,
     SweepReport,
     WorkerDied,
 )
-from repro.analysis.sweeps import ParallelRunner, PointSpec, Sweep, run_points
+from repro.analysis.sweeps import PointSpec, Sweep, run_points
 from repro.apps import UniformRandomWorkload
 from repro.machine import MachineConfig
 from repro.obs.tracer import Tracer
@@ -115,7 +116,7 @@ class TestChaosDeterminism:
 
     def test_chaos_requires_workers(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.analysis.sweeps._fork_context", lambda: None
+            "repro.analysis.sweeps.fork_context", lambda: None
         )
         policy = SupervisorPolicy(chaos=ChaosPlan(seed=0))
         with pytest.raises(RuntimeError, match="fork"):
@@ -184,7 +185,7 @@ class TestWorkerDeath:
     def test_worker_death_surfaces_not_swallowed(self, exc_type):
         """BaseException in a worker kills it; the parent sees WorkerDied.
 
-        The old worker loop caught BaseException and relayed it as a
+        A worker loop that caught BaseException would relay it as a
         point failure, swallowing Ctrl-C and explicit exits.
         """
         def dying_factory():
@@ -194,8 +195,9 @@ class TestWorkerDeath:
         specs[1] = PointSpec(
             config=small_config(), workload_factory=dying_factory
         )
+        runner = SupervisedRunner(2, SupervisorPolicy(max_retries=0))
         with pytest.raises(WorkerDied):
-            ParallelRunner(2).run(specs, [0, 1])
+            runner.run(specs, [0, 1])
 
     def test_supervised_retries_death_then_raises(self):
         def dying_factory():
@@ -244,7 +246,9 @@ class TestCallbackFailure:
 
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="callback boom"):
-            ParallelRunner(2).run(specs, [0, 1], on_complete=boom)
+            SupervisedRunner(2, SupervisorPolicy(max_retries=0)).run(
+                specs, [0, 1], on_complete=boom
+            )
         assert time.monotonic() - t0 < 10.0
 
 
@@ -265,7 +269,7 @@ class TestKeepGoingQuarantine:
 
     def test_poison_point_quarantined_serial(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.analysis.sweeps._fork_context", lambda: None
+            "repro.analysis.sweeps.fork_context", lambda: None
         )
         specs = make_specs(("full", "no-such-scheme", "Dir2B"))
         policy = SupervisorPolicy(max_retries=0, keep_going=True)
@@ -277,7 +281,7 @@ class TestKeepGoingQuarantine:
 
     def test_serial_retry_of_transient_error(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.analysis.sweeps._fork_context", lambda: None
+            "repro.analysis.sweeps.fork_context", lambda: None
         )
         calls = {"n": 0}
 

@@ -667,7 +667,7 @@ def test_lambda_continuation_is_flagged(tmp_path):
     })
     assert _rules(findings) == ["unpicklable-continuation"]
     assert "lambda" in findings[0].message
-    assert "CONTINUATIONS" in findings[0].message
+    assert "bound method" in findings[0].message
 
 
 def test_nested_function_continuation_is_flagged(tmp_path):
